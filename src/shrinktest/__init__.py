@@ -51,7 +51,7 @@ from .priors import (
     prior_to_config,
     validate_density,
 )
-from .quadrature import QuadratureError
+from .quadrature import NumericError, QuadratureError
 from .risk import (
     RiskReport,
     SparseSignal,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on validation errors (bad arguments or
 config), 3 on numeric failures (quadrature breakdown, degenerate
-threshold searches).
+threshold searches).  Any other exception is a program bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .priors import (
     check_condition3,
     parse_prior_spec,
 )
+from .quadrature import NumericError
 from .risk import (
     bayes_risk_analytic,
     bayes_risk_bound,
@@ -48,9 +50,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-# AlwaysReject, NoCrossing and QuadratureError are RuntimeErrors; the
-# monotonicity refusal raises a plain one.
-_NUMERIC_ERRORS = (RuntimeError, ZeroDivisionError, FloatingPointError)
 _VALIDATION_ERRORS = (ConfigError, DegenerateSparsityError, ValueError, KeyError, OSError)
 
 
@@ -146,11 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mx(args) -> int:
     prior = parse_prior_spec(args.prior)
-    curve = ShrinkageCurve(prior)
+    xs = _parse_x_values(args.x)
     table = ResultTable(["x", "m_x", "posterior_mean"])
-    for x in _parse_x_values(args.x):
-        m = curve.weight(x)
-        table.append(x=x, m_x=m, posterior_mean=m * x)
+    for x, m in zip(xs, ShrinkageCurve(prior).weights(xs)):
+        table.append(x=x, m_x=float(m), posterior_mean=float(m) * x)
     _emit(table, args.out)
     return EXIT_OK
 
@@ -297,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except _VALIDATION_ERRORS as exc:

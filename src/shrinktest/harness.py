@@ -308,10 +308,9 @@ def _certified_constants(prior: ScaleMixturePrior) -> tuple[float, float]:
 
 def _run_mx_curve(config: ExperimentConfig) -> ResultTable:
     table = ResultTable(["x", "m_x", "posterior_mean"], meta=config.meta())
-    curve = ShrinkageCurve(config.prior)
-    for x in config.x_grid:
-        m = curve.weight(x)
-        table.append(x=float(x), m_x=m, posterior_mean=m * float(x))
+    xs = [float(x) for x in config.x_grid]
+    for x, m in zip(xs, ShrinkageCurve(config.prior).weights(xs)):
+        table.append(x=x, m_x=float(m), posterior_mean=float(m) * x)
     return table
 
 

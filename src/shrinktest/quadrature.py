@@ -6,7 +6,9 @@ square-root substitution (z = s^2 near 0, 1 - z = s^2 near 1) so that
 integrable endpoint singularities -- u^{-1/2} spikes at the origin,
 heavy polynomial tails at infinity -- are flattened before the adaptive
 rule sees them.  The same machinery serves tail integrals with a finite
-lower endpoint.
+lower endpoint.  Masses below a cutoff are integrated on a log scale
+instead (integrate_log), where a spike at any scale near the origin is
+a bump of width O(1).
 """
 
 from __future__ import annotations
@@ -25,10 +27,23 @@ _ABS_FLOOR = 1e-200
 _ERROR_SLACK = 100.0
 
 _SQRT_HALF = math.sqrt(0.5)
+# Log-scale integrals: breakpoint mesh width and spacing, in units of
+# t = log u.  A 21-point rule on a 5-wide piece samples bumps as narrow
+# as the inverse-gamma one at shape 10 (width ~ shape^{-1/2} ~ 0.3).
+_LOG_SPAN = 150.0
+_LOG_STEP = 5.0
 _TINY = 1e-300
 
 
-class QuadratureError(RuntimeError):
+class NumericError(RuntimeError):
+    """A numeric breakdown: the inputs were valid but no trustworthy answer exists.
+
+    Program bugs (RecursionError, NotImplementedError, ...) are other
+    RuntimeErrors and must never be reported as one of these.
+    """
+
+
+class QuadratureError(NumericError):
     """Adaptive integration failed to reach the requested tolerance."""
 
     def __init__(self, message: str, achieved: float | None = None):
@@ -125,6 +140,29 @@ def integrate_tail(
 ) -> float:
     """Integrate g over (lower, inf); the shifted tail reuses the unit map."""
     return integrate_half_line(lambda t: g(lower + t), rel_tol)
+
+
+def integrate_log(
+    f: Callable[[float], float],
+    top: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> float:
+    """Integrate f(t) over (-inf, top], where t = log u is a log scale.
+
+    A feature of a density at any scale u0 -- the horseshoe's spike at
+    u ~ tau^2 included -- is a bump of width O(1) at t = log u0.  Fixed
+    breakpoints every _LOG_STEP over the top _LOG_SPAN make the first
+    rule on each piece sample such a bump wherever it sits; the
+    remainder below is an infinite-range QUADPACK piece.
+    """
+    cut = top - _LOG_SPAN
+    points = np.arange(cut + _LOG_STEP, top, _LOG_STEP)
+    body, err_body = quad(f, cut, top, epsabs=_ABS_FLOOR, epsrel=rel_tol,
+                          points=points, limit=400)
+    tail, err_tail = quad(f, -math.inf, cut, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=200)
+    total = body + tail
+    _check_error(abs(total), err_body + err_tail, rel_tol, f"log-scale integral up to t={top:g}")
+    return total
 
 
 def integrate_finite(

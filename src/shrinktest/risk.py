@@ -18,6 +18,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .priors import ScaleMixturePrior
+from .quadrature import NumericError
 from .rng import STREAM_NOISE, STREAM_TWO_GROUP, map_replicates, split_draws, substream
 from .shrinkage import ShrinkageCurve, large_signal_threshold
 from .testing import TwoGroupModel
@@ -233,7 +234,8 @@ def calibrate_signal_offset(
 
     Scans the weight on a grid, takes the smallest grid value T beyond
     which m_x >= alpha throughout, and returns the exceedance of T over
-    the declared sqrt(2K(u0+1) log(n/p)) term (floored at zero).
+    the declared sqrt(2K(u0+1) log(n/p)) term (floored at zero).  Raises
+    NumericError when m_x is still below alpha at the top of the grid.
     """
     x_max = x_max if x_max is not None else curve.search_cap()
     grid = np.linspace(0.0, x_max, n_grid)
@@ -242,7 +244,7 @@ def calibrate_signal_offset(
     if len(below) == 0:
         t_grid = 0.0
     elif below[-1] == n_grid - 1:
-        raise ValueError(f"m_x < alpha at the top of the grid (x={x_max:g})")
+        raise NumericError(f"m_x < alpha at the top of the grid (x={x_max:g})")
     else:
         t_grid = float(grid[below[-1] + 1])
     return max(0.0, t_grid - large_signal_threshold(curve.prior))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shrinktest import cli
 from shrinktest.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 
 PRIOR = "horseshoe:tau=0.05,n=1000,p=50"
@@ -51,6 +52,14 @@ class TestThreshold:
         code, _, err = run_cli(capsys, "threshold", "--prior", "bogus:a=1")
         assert code == EXIT_VALIDATION
         assert "validation error" in err
+
+    def test_program_bug_is_not_a_numeric_failure(self, capsys, monkeypatch):
+        def broken(args):
+            raise NotImplementedError("unfinished command")
+
+        monkeypatch.setitem(cli._COMMANDS, "threshold", broken)
+        with pytest.raises(NotImplementedError):
+            main(["threshold", "--prior", PRIOR])
 
 
 class TestTestCommand:
@@ -117,6 +126,16 @@ class TestRiskMinimax:
         row = lines[1].split(",")
         rsup = float(row[header.index("rsup")])
         assert 0.0 <= rsup <= 2.0
+
+    def test_calibration_failure_exit(self, capsys):
+        # The weight crosses 1/2 near x = 30, past the calibration grid's
+        # top at the search cap (about 21.6 for n/p = 10/3).
+        code, _, err = run_cli(
+            capsys, "risk-minimax", "--prior", "exponential:rate=100,n=100,p=30",
+            "--alpha", "0.5", "--replicates", "1",
+        )
+        assert code == EXIT_NUMERIC
+        assert "top of the grid" in err
 
 
 class TestAdaptive:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from shrinktest import (
     ConditionGrid,
     DegenerateSparsityError,
+    QuadratureError,
     ScaleMixturePrior,
     certify_prior,
     check_condition1,
@@ -114,6 +116,17 @@ class TestConditionTwo:
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(v >= 0.5 for v in values)
+
+    @pytest.mark.parametrize("tau", [1e-1, 1e-6, 1e-8])
+    def test_tiny_tau_closed_form_without_warning(self, tau):
+        # The horseshoe puts most of its mass near u = tau^2, far below the
+        # node spacing of a grid in sqrt(u) once tau is small.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = check_condition2(horseshoe_prior(tau, 10**4, 100))
+        exact = 2.0 / math.pi * math.atan(1.0 / tau)
+        assert abs(cert.estimated_constant - exact) <= 1e-9 * exact
+        assert cert.satisfied
 
 
 class TestConditionOne:
@@ -288,3 +301,11 @@ class TestMassBelow:
     def test_respects_cutoff(self):
         prior = exponential_prior(2.0, 100, 10)
         assert mass_below(prior, 0.5) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-10)
+
+    def test_non_finite_density_raises(self):
+        # An overflowing density: pi(u) = e^{1000} on the whole half-line.
+        prior = ScaleMixturePrior(
+            log_density=lambda u: np.full(np.shape(u), 1000.0), n=100, p=10
+        )
+        with pytest.raises(QuadratureError, match="non-finite integrand"):
+            mass_below(prior)

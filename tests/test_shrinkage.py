@@ -1,8 +1,11 @@
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from shrinktest import (
     AlwaysReject,
@@ -17,6 +20,35 @@ from shrinktest import (
 )
 
 import oracles
+
+
+def box_prior():
+    """Uniform variance density on (0, 0.1): discontinuous at u = 0.1."""
+
+    def log_density(u):
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 0.0) & (u < 0.1), math.log(10.0), -np.inf)
+
+    return ScaleMixturePrior(log_density=log_density, n=100, p=10)
+
+
+# The five priors of the benchmark's curve workload.
+CURVE_PRIORS = [
+    horseshoe_prior(1e-1, 10**4, 100),
+    horseshoe_prior(1e-3, 10**4, 100),
+    horseshoe_prior(1e-6, 10**4, 100),
+    exponential_prior(1.0, 10**4, 100),
+    inverse_gamma_prior(2.0, 1.0, 10**4, 100),
+]
+CURVE_IDS = ["hs-1e-1", "hs-1e-3", "hs-1e-6", "exponential", "inverse_gamma"]
+
+BUILTIN_PRIORS = hst.one_of(
+    hst.floats(-8.0, 0.0).map(lambda e: horseshoe_prior(10.0**e, 1000, 50)),
+    hst.floats(-2.0, 2.0).map(lambda e: exponential_prior(10.0**e, 1000, 50)),
+    hst.tuples(hst.floats(0.5, 10.0), hst.floats(0.5, 10.0)).map(
+        lambda ab: inverse_gamma_prior(ab[0], ab[1], 1000, 50)
+    ),
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +116,79 @@ class TestWeight:
             assert curve.weight(50.0) >= 0.999
 
 
+class TestFixedNodeKernel:
+    """The fast kernel against its adaptive fallback, and its invariants."""
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        prior=BUILTIN_PRIORS,
+        xs=hst.lists(hst.floats(-300.0, 300.0), min_size=1, max_size=3),
+    )
+    def test_agrees_with_adaptive(self, prior, xs):
+        curve = ShrinkageCurve(prior)
+        fast = curve.weights(xs)
+        slow = np.array([curve.adaptive_weight(x) for x in xs])
+        assert np.max(np.abs(fast - slow)) <= 1e-9
+
+    def test_discontinuous_prior_falls_back_to_adaptive(self):
+        curve = ShrinkageCurve(box_prior())
+        xs = [0.0, 1.0, 3.0, 10.0]
+        fast = curve.weights(xs)
+        assert curve.fallbacks == len(xs)
+        assert np.array_equal(fast, [curve.adaptive_weight(x) for x in xs])
+
+    @pytest.mark.parametrize("prior", CURVE_PRIORS, ids=CURVE_IDS)
+    def test_no_fallback_on_curve_priors(self, prior):
+        curve = ShrinkageCurve(prior)
+        curve.weights(np.linspace(0.0, 25.0, 1000))
+        assert curve.fallbacks == 0
+
+    def test_fallback_count_is_read_only(self):
+        curve = ShrinkageCurve(box_prior())
+        with pytest.raises(AttributeError):
+            curve.fallbacks = 0
+
+    def test_fallback_count_under_threads(self):
+        # At these x the exponential prior's peak in t is narrower than the
+        # node step, so every value falls back; no increment may be lost.
+        curve = ShrinkageCurve(exponential_prior(1.0, 1000, 50))
+        xs = [150.0, 200.0, 300.0]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=curve.weights, args=(xs,)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert curve.fallbacks == 8 * len(xs)
+
+    @pytest.mark.parametrize("prior", CURVE_PRIORS, ids=CURVE_IDS)
+    def test_one_value_per_x(self, prior):
+        curve = ShrinkageCurve(prior)
+        grid = np.linspace(-30.0, 30.0, 1000)
+        batch = curve.weights(grid)
+        single = np.array([curve.weight(x) for x in grid])
+        assert np.array_equal(batch, single)
+        assert np.array_equal(single, [curve.weight(-x) for x in grid])
+
+        results = [None] * 8
+
+        def worker(i):
+            results[i] = curve.weights(grid)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(r, batch) for r in results)
+
+
 class TestPosteriorMean:
     def test_zero_at_zero(self, hs_curve):
         assert hs_curve.posterior_mean(0.0) == 0.0
@@ -137,11 +242,7 @@ class TestDecisionThreshold:
             curve.decision_threshold(0.5)
 
     def test_no_crossing(self):
-        def log_density(u):
-            u = np.asarray(u, dtype=float)
-            return np.where((u > 0.0) & (u < 0.1), math.log(10.0), -np.inf)
-
-        curve = ShrinkageCurve(ScaleMixturePrior(log_density=log_density, n=100, p=10))
+        curve = ShrinkageCurve(box_prior())
         # Weights saturate near 0.1/1.1, far below 1/2.
         with pytest.raises(NoCrossing):
             curve.decision_threshold(0.5)
