@@ -1,0 +1,210 @@
+"""Frozen output bytes of the README commands and of one config per kind.
+
+Each case runs a CLI command (or `simulate` on an INI written here) and
+compares its output file with the file of the same name under
+`tests/golden/`, byte for byte.  The files pin what a refactor must not
+move: every float is written by `repr`, so a change in the last bit of a
+bound, a risk or a Monte Carlo mean shows up here.  `simulate` runs each
+config at threads 1 and 4 against one file, with the `# threads =` echo
+line normalised.
+
+The files were written by this module's own cases with Python 3.11,
+numpy 2.4 and scipy 1.17.  Regenerate them, after a deliberate change of
+output, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import pathlib
+import re
+import tempfile
+
+import pytest
+
+from shrinktest.cli import EXIT_OK, main
+from shrinktest.rng import substream
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+PRIOR = "horseshoe:tau=0.01,n=10000,p=100"
+
+_MODEL = """\
+[model]
+n = 10000
+p_n = 100
+c_psi = 1.0
+"""
+
+_PRIOR_SECTION = """\
+[prior]
+family = horseshoe
+tau = 0.01
+n = 10000
+p = 100
+"""
+
+CONFIGS = {
+    "mx_curve": f"""\
+[experiment]
+id = golden-mx
+kind = mx_curve
+seed = 0
+threads = 1
+
+{_PRIOR_SECTION}
+[mx]
+x = 0,0.5,1,2,3,3.5,4,5,6,8,12,25,100
+""",
+    "risk_bayes": f"""\
+[experiment]
+id = golden-risk-bayes
+kind = risk_bayes
+replicates = 8
+seed = 7
+threads = 1
+draws = 5000
+
+{_PRIOR_SECTION}
+{_MODEL}
+[test]
+alpha = 0.5
+""",
+    "risk_minimax": f"""\
+[experiment]
+id = golden-risk-minimax
+kind = risk_minimax
+replicates = 20
+seed = 3
+threads = 1
+
+{_PRIOR_SECTION}
+[test]
+alpha = 0.5
+lambda = 0.5
+
+[signal]
+rule = rho_n
+v_n = 3.0
+
+[sweep]
+magnitudes = 2.5,5.0
+""",
+    "risk_minimax_rho": f"""\
+[experiment]
+id = golden-risk-minimax-rho
+kind = risk_minimax
+replicates = 20
+seed = 4
+threads = 1
+
+{_PRIOR_SECTION}
+[signal]
+rule = rho_n
+c1 = 0.25
+v_n = 1.5
+""",
+    "adaptive": f"""\
+[experiment]
+id = golden-adaptive
+kind = adaptive
+replicates = 20
+seed = 5
+threads = 1
+c_u = 2.0
+zeta = 0.5
+
+{_PRIOR_SECTION}
+{_MODEL}
+[test]
+alpha = 0.5
+""",
+}
+
+
+def _write_input(path: pathlib.Path) -> None:
+    """500 observations: 25 signals of mean 5 and unit Gaussian noise."""
+    data = substream(17).standard_normal(500)
+    data[:25] += 5.0
+    path.write_text("".join(f"{float(v)!r}\n" for v in data), encoding="utf-8")
+
+
+def _cli(workdir: pathlib.Path, name: str, *argv: str) -> bytes:
+    out = workdir / name
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+def _test_command(workdir: pathlib.Path) -> bytes:
+    data = workdir / "data.csv"
+    _write_input(data)
+    return _cli(workdir, "test.csv", "test", "--prior", PRIOR, "--alpha", "0.5",
+                "--input", str(data))
+
+
+CLI_CASES = {
+    "mx.csv": lambda d: _cli(d, "mx.csv", "mx", "--prior", PRIOR, "--x", "0:10:0.5"),
+    "threshold.txt": lambda d: _cli(d, "threshold.txt", "threshold", "--prior", PRIOR,
+                                    "--alpha", "0.5"),
+    "test.csv": _test_command,
+    "check_prior_exponential.json": lambda d: _cli(
+        d, "check_prior_exponential.json", "check-prior",
+        "--prior", "exponential:rate=1,n=10000,p=100",
+    ),
+    "check_prior_horseshoe.json": lambda d: _cli(
+        d, "check_prior_horseshoe.json", "check-prior", "--prior", PRIOR,
+    ),
+    "risk_bayes.csv": lambda d: _cli(
+        d, "risk_bayes.csv", "risk-bayes", "--prior", PRIOR,
+        "--n", "10000", "--p", "100", "--c-psi", "1",
+    ),
+    "risk_minimax.csv": lambda d: _cli(
+        d, "risk_minimax.csv", "risk-minimax", "--prior", PRIOR,
+        "--v-n", "3", "--replicates", "200",
+    ),
+    "adaptive.json": lambda d: _cli(
+        d, "adaptive.json", "adaptive", "--n", "10000", "--p", "100",
+        "--replicates", "200", "--risk-replicates", "50",
+    ),
+}
+
+
+def _simulate(workdir: pathlib.Path, kind: str, threads: int) -> bytes:
+    config = workdir / f"{kind}.ini"
+    config.write_text(CONFIGS[kind].replace("threads = 1", f"threads = {threads}"),
+                      encoding="utf-8")
+    raw = _cli(workdir, f"simulate_{kind}.csv", "simulate", "--config", str(config))
+    return re.sub(rb"(?m)^# threads = \d+$", b"# threads = _", raw)
+
+
+def _golden(name: str) -> bytes:
+    return (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_bytes(name, tmp_path):
+    assert CLI_CASES[name](tmp_path) == _golden(name)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_simulate_output_bytes(kind, threads, tmp_path):
+    assert _simulate(tmp_path, kind, threads) == _golden(f"simulate_{kind}.csv")
+
+
+def _regenerate() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = pathlib.Path(tmp)
+        outputs = {name: case(workdir) for name, case in CLI_CASES.items()}
+        outputs.update(
+            {f"simulate_{kind}.csv": _simulate(workdir, kind, 1) for kind in CONFIGS}
+        )
+    for name, data in sorted(outputs.items()):
+        (GOLDEN_DIR / name).write_bytes(data)
+        print(f"wrote {GOLDEN_DIR / name} ({len(data)} bytes)")
+
+
+if __name__ == "__main__":
+    _regenerate()
