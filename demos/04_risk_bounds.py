@@ -13,8 +13,7 @@ from shrinktest import (
     bayes_risk_analytic,
     bayes_risk_bound,
     calibrate_signal_offset,
-    check_condition2,
-    check_condition3,
+    certified_constants,
     horseshoe_prior,
     minimax_risk_bound,
     oracle_risk,
@@ -28,8 +27,7 @@ prior = horseshoe_prior(p / n, n, p)
 model = TwoGroupModel.from_c_psi(n, p, c_psi)
 curve = ShrinkageCurve(prior)
 
-c = check_condition2(prior).estimated_constant
-big_c = check_condition3(prior).estimated_constant
+c, big_c = certified_constants(prior)
 print(f"certified constants: c = {c:.4f} (mass near 0), C = {big_c:.4f} (decay)")
 
 x_star = curve.decision_threshold(alpha)

@@ -12,11 +12,10 @@ import numpy as np
 
 from shrinktest import (
     TwoGroupModel,
-    adaptive_bayes_risk_bound,
     adaptive_bayes_risk_mc,
     adaptive_threshold_test,
-    check_condition2,
-    check_condition3,
+    bayes_risk_bound,
+    certified_constants,
     horseshoe_family,
     horseshoe_prior,
     simple_count_estimator,
@@ -43,11 +42,11 @@ report = verify_condition4(
 print("\nestimator window verification:")
 print(json.dumps(report.to_record(), indent=2))
 
-# Plug-in risk against the adaptive bound.
+# Plug-in risk against the adaptive bound: the known-p bound with the
+# estimator-window constants C^u and zeta passed in.
 prior = horseshoe_prior(p / n, n, p)
-c = check_condition2(prior).estimated_constant
-big_c = check_condition3(prior).estimated_constant
+c, big_c = certified_constants(prior)
 risk = adaptive_bayes_risk_mc(horseshoe_family, model, 0.5, replicates=50, seed=13, threads=4)
-bound = adaptive_bayes_risk_bound(prior, model, 0.5, big_c, c, c_u=2.0, zeta=0.0)
+bound = bayes_risk_bound(prior, model, 0.5, big_c, c, c_u=2.0, zeta=0.0)
 print(f"\nadaptive risk = {risk.bayes_risk:.2f} +- {risk.se('bayes_risk'):.2f}"
       f"  vs bound = {bound:.2f}")

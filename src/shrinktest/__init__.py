@@ -36,6 +36,7 @@ from .priors import (
     ConditionGrid,
     DegenerateSparsityError,
     ScaleMixturePrior,
+    certified_constants,
     certify_prior,
     check_condition1,
     check_condition1_lower,
@@ -59,6 +60,7 @@ from .risk import (
     bayes_risk_analytic,
     bayes_risk_bound,
     calibrate_signal_offset,
+    fdp_fnp_replicates,
     fdr_fnr_mc,
     flat_signal,
     minimax_risk_bound,
@@ -66,6 +68,7 @@ from .risk import (
     null_rejection_rate,
     oracle_comparison_mc,
     oracle_risk,
+    separation_magnitude,
     separation_rate,
     two_group_risk_mc,
 )

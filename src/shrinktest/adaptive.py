@@ -4,8 +4,9 @@ The number of signals p is rarely known; the counting estimator
 p_hat = #{i : |X_i| >= sqrt(2 log n)} (floored at one) replaces it
 inside the prior before thresholding.  Verification utilities measure,
 by simulation, how often the estimator stays inside the window the
-adaptive risk guarantees require, and the bound evaluators extend the
-non-adaptive ones with the window constants.
+adaptive risk guarantees require.  The adaptive guarantees are the risk
+module's bounds with the window constants passed in; the adaptive_*
+bound names below are kept as thin calls to them.
 """
 
 from __future__ import annotations
@@ -16,12 +17,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from .priors import ScaleMixturePrior, horseshoe_prior
 from .rng import STREAM_ESTIMATOR, STREAM_TWO_GROUP, map_replicates, substream
-from .risk import RiskReport
-from .shrinkage import ShrinkageCurve, large_signal_threshold
+from .risk import (
+    RiskReport,
+    bayes_risk_bound,
+    minimax_risk_bound,
+    separation_rate,
+    standard_error,
+)
+from .shrinkage import ShrinkageCurve
 from .testing import DecisionVector, TwoGroupModel, threshold_test
 
 __all__ = [
@@ -200,10 +206,7 @@ def verify_condition4(
 
     def one(rep: int) -> tuple[int, int]:
         # Own stream id: window checks must not recycle the risk MC draws.
-        rng = substream(seed, rep, STREAM_ESTIMATOR)
-        is_signal = rng.random(model.n) < model.signal_fraction
-        x = rng.standard_normal(model.n)
-        x[is_signal] *= model.alt_sd
+        x, _ = model.sample(substream(seed, rep, STREAM_ESTIMATOR), model.n)
         p_hat = estimator(x).p_hat
         return int(p_hat <= upper_cut), int(p_hat >= lower_bound)
 
@@ -247,7 +250,9 @@ def adaptive_risk_replicates(
 
     Each replicate draws two-group data, re-estimates p, and counts its
     false positives plus false negatives.  Thresholds are cached per
-    distinct p_hat, which the counting estimator keeps to a handful.
+    distinct p_hat, which the counting estimator keeps to a handful; the
+    lock is held while a threshold is computed, so each distinct p_hat
+    costs exactly one threshold whatever the thread count.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -256,19 +261,13 @@ def adaptive_risk_replicates(
 
     def cut_for(p_hat: float) -> float:
         with lock:
-            if p_hat in cache:
-                return cache[p_hat]
-        curve = ShrinkageCurve(prior_family(model.n, min(p_hat, model.n - 1)))
-        cut = curve.decision_threshold(alpha)
-        with lock:
-            cache[p_hat] = cut
-        return cut
+            if p_hat not in cache:
+                curve = ShrinkageCurve(prior_family(model.n, min(p_hat, model.n - 1)))
+                cache[p_hat] = curve.decision_threshold(alpha)
+            return cache[p_hat]
 
     def one(rep: int) -> tuple[float, float]:
-        rng = substream(seed, rep, STREAM_TWO_GROUP)
-        is_signal = rng.random(model.n) < model.signal_fraction
-        x = rng.standard_normal(model.n)
-        x[is_signal] *= model.alt_sd
+        x, is_signal = model.sample(substream(seed, rep, STREAM_TWO_GROUP), model.n)
         p_hat = estimator(x).p_hat
         reject = np.abs(x) > cut_for(p_hat)
         loss = float((reject & ~is_signal).sum() + (~reject & is_signal).sum())
@@ -291,83 +290,31 @@ def adaptive_bayes_risk_mc(
     losses, _ = adaptive_risk_replicates(
         prior_family, model, alpha, replicates, seed, estimator, threads
     )
-    ddof = 1 if replicates > 1 else 0
-    risk = float(losses.mean())
-    se = float(losses.std(ddof=ddof)) / math.sqrt(replicates)
     return RiskReport(
-        bayes_risk=risk,
-        mc_standard_errors={"bayes_risk": se},
+        bayes_risk=float(losses.mean()),
+        mc_standard_errors={"bayes_risk": standard_error(losses)},
         n_replicates=replicates,
     )
 
 
 def adaptive_bayes_risk_bound(
-    prior: ScaleMixturePrior,
-    model: TwoGroupModel,
-    alpha: float,
-    cond3_constant: float,
-    cond2_constant: float,
-    c_u: float,
-    zeta: float = 0.0,
+    prior: ScaleMixturePrior, model: TwoGroupModel, alpha: float,
+    cond3_constant: float, cond2_constant: float, c_u: float, zeta: float = 0.0,
 ) -> float:
-    """Adaptive additive-risk guarantee:
-    p_n (8 sqrt(pi) C C^u / (c alpha) + 2 Phi(sqrt(2K(u0+1)(1+zeta) c_psi)) - 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not c_u > 0.0 or zeta < 0.0:
-        raise ValueError("need C^u > 0 and zeta >= 0")
-    if not cond2_constant > 0.0 or cond3_constant < 0.0:
-        raise ValueError("need c > 0 and C >= 0")
-    if prior.lower_exponent is None:
-        raise ValueError("prior does not declare the tail exponent K")
-    k, u0 = prior.lower_exponent, prior.rv_onset
-    type1_term = 8.0 * math.sqrt(math.pi) * cond3_constant * c_u / (cond2_constant * alpha)
-    tail = 2.0 * float(norm.cdf(math.sqrt(2.0 * k * (u0 + 1.0) * (1.0 + zeta) * model.c_psi))) - 1.0
-    return model.p_n * (type1_term + tail)
+    """bayes_risk_bound with the window constants C^u and zeta."""
+    return bayes_risk_bound(prior, model, alpha, cond3_constant, cond2_constant, c_u, zeta)
 
 
 def adaptive_minimax_risk_bound(
-    lam: float,
-    alpha: float,
-    cond3_constant: float,
-    cond2_constant: float,
-    c_u: float,
-    v_n: float,
+    lam: float, alpha: float, cond3_constant: float, cond2_constant: float, c_u: float, v_n: float,
 ) -> float:
-    """Adaptive FDR + FNR guarantee:
-    1 / (1 + lam alpha c / (8 C^u C sqrt(pi))) + Phi(-v_n).
-
-    The plug-in guarantee is stated for 0 < lam < Phi(v_n); lam is
-    accepted anywhere in (0, 1) and the caller owns the restriction.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1)")
-    if not c_u > 0.0:
-        raise ValueError("C^u must be positive")
-    if not cond2_constant > 0.0 or cond3_constant < 0.0:
-        raise ValueError("need c > 0 and C >= 0")
-    if cond3_constant == 0.0:
-        fdr_term = 0.0
-    else:
-        ratio = lam * alpha * cond2_constant / (8.0 * c_u * cond3_constant * math.sqrt(math.pi))
-        fdr_term = 1.0 / (1.0 + ratio)
-    return fdr_term + float(norm.cdf(-v_n))
+    """minimax_risk_bound with the window constant C^u."""
+    return minimax_risk_bound(lam, alpha, cond3_constant, cond2_constant, v_n, c_u)
 
 
 def adaptive_separation_rate(
-    prior: ScaleMixturePrior,
-    gamma_n: float = 1.0,
-    c1: float = 0.0,
-    v_n: float = 0.0,
+    prior: ScaleMixturePrior, gamma_n: float = 1.0, c1: float = 0.0, v_n: float = 0.0,
 ) -> float:
-    """Separation rate with the plug-in floor gamma_n:
-    c1 + sqrt(2K(u0+1) log(n/gamma_n)) + v_n.
-
-    The counting estimator never drops below 1, so gamma_n = 1 is the
-    defensible default; the rate then runs on log n instead of log(n/p).
-    """
-    if not 0.0 < gamma_n < prior.n:
-        raise ValueError("gamma_n must lie in (0, n)")
-    if v_n < 0.0:
-        raise ValueError("v_n must be nonnegative")
-    return large_signal_threshold(prior, gamma_n, c1) + v_n
+    """separation_rate on log(n/gamma_n).  The counting estimator never
+    drops below 1, so gamma_n = 1 is the defensible default."""
+    return separation_rate(prior, gamma_n, c1, v_n)

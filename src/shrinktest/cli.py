@@ -15,32 +15,32 @@ import sys
 import numpy as np
 
 from .adaptive import (
-    adaptive_bayes_risk_bound,
     adaptive_bayes_risk_mc,
     horseshoe_family,
     simple_count_estimator,
     verify_condition4,
 )
-from .harness import ConfigError, ResultTable, RISK_COLUMNS, load_config, run_experiment
-from .priors import (
-    DegenerateSparsityError,
-    certify_prior,
-    check_condition2,
-    check_condition3,
-    parse_prior_spec,
+from .harness import (
+    MX_COLUMNS,
+    RISK_COLUMNS,
+    ConfigError,
+    ResultTable,
+    append_mx_rows,
+    load_config,
+    run_experiment,
 )
+from .priors import DegenerateSparsityError, certified_constants, certify_prior, parse_prior_spec
 from .quadrature import NumericError
 from .risk import (
     bayes_risk_analytic,
     bayes_risk_bound,
-    calibrate_signal_offset,
     fdr_fnr_mc,
     flat_signal,
     minimax_risk_bound,
     miss_probability,
     null_rejection_rate,
     oracle_risk,
-    separation_rate,
+    separation_magnitude,
     two_group_risk_mc,
 )
 from .shrinkage import ShrinkageCurve
@@ -67,16 +67,9 @@ def _parse_x_values(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _emit(table: ResultTable, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out:
-        table.write(out)
-    else:
-        sys.stdout.write(table.csv_text())
-
-
-def _emit_text(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -145,18 +138,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mx(args) -> int:
     prior = parse_prior_spec(args.prior)
-    xs = _parse_x_values(args.x)
-    table = ResultTable(["x", "m_x", "posterior_mean"])
-    for x, m in zip(xs, ShrinkageCurve(prior).weights(xs)):
-        table.append(x=x, m_x=float(m), posterior_mean=float(m) * x)
-    _emit(table, args.out)
+    table = ResultTable(list(MX_COLUMNS))
+    append_mx_rows(table, prior, _parse_x_values(args.x))
+    _emit(table.csv_text(), args.out)
     return EXIT_OK
 
 
 def _cmd_threshold(args) -> int:
     curve = ShrinkageCurve(parse_prior_spec(args.prior))
     x_star = curve.decision_threshold(args.alpha)
-    _emit_text(f"{x_star!r}\n", args.out)
+    _emit(f"{x_star!r}\n", args.out)
     return EXIT_OK
 
 
@@ -168,14 +159,14 @@ def _cmd_test(args) -> int:
     table = ResultTable(["index", "x", "decision"])
     for i, (x, d) in enumerate(zip(data, decisions.decisions)):
         table.append(index=i, x=x, decision=int(d))
-    _emit(table, args.out)
+    _emit(table.csv_text(), args.out)
     return EXIT_OK
 
 
 def _cmd_check_prior(args) -> int:
     prior = parse_prior_spec(args.prior)
     records = [cert.to_record() for cert in certify_prior(prior)]
-    _emit_text(json.dumps(records, indent=2, allow_nan=True) + "\n", args.out)
+    _emit(json.dumps(records, indent=2, allow_nan=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -185,8 +176,7 @@ def _cmd_risk_bayes(args) -> int:
     curve = ShrinkageCurve(prior)
     x_star = curve.decision_threshold(args.alpha)
     analytic = bayes_risk_analytic(model, x_star)
-    c = check_condition2(prior).estimated_constant
-    big_c = check_condition3(prior).estimated_constant
+    c, big_c = certified_constants(prior)
     bound = bayes_risk_bound(prior, model, args.alpha, big_c, c)
     table = ResultTable(["row_type"] + RISK_COLUMNS)
     base = dict(n=model.n, p=model.p_n, alpha=args.alpha, x_star=x_star,
@@ -205,7 +195,7 @@ def _cmd_risk_bayes(args) -> int:
             se_type1=mc.se("type1"), se_type2=mc.se("type2"),
             se_bayes_risk=mc.se("bayes_risk"), **base,
         )
-    _emit(table, args.out)
+    _emit(table.csv_text(), args.out)
     return EXIT_OK
 
 
@@ -213,14 +203,12 @@ def _cmd_risk_minimax(args) -> int:
     prior = parse_prior_spec(args.prior)
     curve = ShrinkageCurve(prior)
     x_star = curve.decision_threshold(args.alpha)
-    c = check_condition2(prior).estimated_constant
-    big_c = check_condition3(prior).estimated_constant
+    c, big_c = certified_constants(prior)
     bound = minimax_risk_bound(args.lam, args.alpha, big_c, c, args.v_n)
     if args.magnitude is not None:
         rho = args.magnitude
     else:
-        c1 = calibrate_signal_offset(curve, args.alpha) if args.c1 == "auto" else float(args.c1)
-        rho = separation_rate(prior, c1=c1, v_n=args.v_n)
+        rho = separation_magnitude(curve, args.alpha, args.c1, args.v_n)
     n, p = prior.n, int(round(prior.p))
     report = fdr_fnr_mc(curve, flat_signal(n, p, rho), args.alpha,
                         replicates=args.replicates, seed=args.seed, threads=args.threads)
@@ -233,7 +221,7 @@ def _cmd_risk_minimax(args) -> int:
         se_fdr=report.se("fdr"), se_fnr=report.se("fnr"), se_rsup=report.se("rsup"),
         seed=args.seed,
     )
-    _emit(table, args.out)
+    _emit(table.csv_text(), args.out)
     return EXIT_OK
 
 
@@ -248,10 +236,8 @@ def _cmd_adaptive(args) -> int:
         horseshoe_family, model, args.alpha,
         replicates=args.risk_replicates, seed=args.seed, threads=args.threads,
     )
-    c = check_condition2(prior).estimated_constant
-    big_c = check_condition3(prior).estimated_constant
-    bound = adaptive_bayes_risk_bound(prior, model, args.alpha, big_c, c,
-                                      args.c_u, args.zeta)
+    c, big_c = certified_constants(prior)
+    bound = bayes_risk_bound(prior, model, args.alpha, big_c, c, c_u=args.c_u, zeta=args.zeta)
     record = {
         "condition4": cond4.to_record(),
         "risk": {
@@ -263,7 +249,7 @@ def _cmd_adaptive(args) -> int:
         },
         "seed": args.seed,
     }
-    _emit_text(json.dumps(record, indent=2) + "\n", args.out)
+    _emit(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

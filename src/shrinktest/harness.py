@@ -11,36 +11,26 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .adaptive import (
-    adaptive_bayes_risk_bound,
-    adaptive_risk_replicates,
-    horseshoe_family,
-)
-from .priors import (
-    ScaleMixturePrior,
-    check_condition2,
-    check_condition3,
-    prior_from_config,
-    prior_to_config,
-)
+from .adaptive import adaptive_risk_replicates, horseshoe_family
+from .priors import ScaleMixturePrior, certified_constants, prior_from_config, prior_to_config
 from .risk import (
     bayes_risk_analytic,
     bayes_risk_bound,
-    calibrate_signal_offset,
+    fdp_fnp_replicates,
     flat_signal,
     minimax_risk_bound,
     miss_probability,
     null_rejection_rate,
     oracle_risk,
-    separation_rate,
+    separation_magnitude,
+    standard_error,
 )
-from .rng import STREAM_NOISE, STREAM_TWO_GROUP, map_replicates, substream
+from .rng import STREAM_TWO_GROUP, map_replicates, substream
 from .shrinkage import ShrinkageCurve
 from .testing import TwoGroupModel
 
@@ -51,16 +41,26 @@ __all__ = [
     "load_config",
     "run_experiment",
     "emit_plot_script",
+    "append_mx_rows",
+    "MX_COLUMNS",
     "RISK_COLUMNS",
 ]
 
-_KINDS = ("mx_curve", "risk_bayes", "risk_minimax", "adaptive")
+MX_COLUMNS = ["x", "m_x", "posterior_mean"]
 
 RISK_COLUMNS = [
     "n", "p", "alpha", "x_star", "type1", "type2", "bayes_risk", "oracle_risk",
     "bound", "fdr", "fnr", "rsup", "se_type1", "se_type2", "se_bayes_risk",
     "se_fdr", "se_fnr", "se_rsup", "seed",
 ]
+
+_COLUMNS = {
+    "mx_curve": MX_COLUMNS,
+    "risk_bayes": ["row_type", "replicate"] + RISK_COLUMNS,
+    "risk_minimax": ["row_type", "replicate", "magnitude"] + RISK_COLUMNS,
+    "adaptive": ["row_type", "replicate", "p_hat"] + RISK_COLUMNS,
+}
+_KINDS = tuple(_COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -150,26 +150,17 @@ class ExperimentConfig:
         return out
 
 
-def _parse_float(section: Mapping[str, str], section_name: str, key: str, default=None) -> float:
+def _parse(section: Mapping[str, str], section_name: str, key: str, default=None, cast=float):
+    """section[key] as a float (or int); a missing key takes the default if one is given."""
     if key not in section:
         if default is not None:
             return default
         raise ConfigError(f"{section_name}.{key}", "missing required field")
     try:
-        return float(section[key])
+        return cast(section[key])
     except ValueError:
-        raise ConfigError(f"{section_name}.{key}", f"not a number: {section[key]!r}") from None
-
-
-def _parse_int(section: Mapping[str, str], section_name: str, key: str, default=None) -> int:
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"{section_name}.{key}", "missing required field")
-    try:
-        return int(section[key])
-    except ValueError:
-        raise ConfigError(f"{section_name}.{key}", f"not an integer: {section[key]!r}") from None
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{section_name}.{key}", f"not {kind}: {section[key]!r}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -195,9 +186,9 @@ def load_config(path: str) -> ExperimentConfig:
     if "model" in parser:
         sec = parser["model"]
         model = TwoGroupModel.from_c_psi(
-            _parse_int(sec, "model", "n"),
-            _parse_float(sec, "model", "p_n"),
-            _parse_float(sec, "model", "c_psi"),
+            _parse(sec, "model", "n", cast=int),
+            _parse(sec, "model", "p_n"),
+            _parse(sec, "model", "c_psi"),
         )
 
     test = parser["test"] if "test" in parser else {}
@@ -228,29 +219,29 @@ def load_config(path: str) -> ExperimentConfig:
 
     magnitude = None
     if "magnitude" in signal:
-        magnitude = _parse_float(signal, "signal", "magnitude")
+        magnitude = _parse(signal, "signal", "magnitude")
 
     return ExperimentConfig(
         experiment_id=exp.get("id", "experiment"),
         kind=exp.get("kind", ""),
         prior=prior,
         model=model,
-        alpha=_parse_float(test, "test", "alpha", 0.5),
-        replicates=_parse_int(exp, "experiment", "replicates", 1),
-        seed=_parse_int(exp, "experiment", "seed"),
-        threads=_parse_int(exp, "experiment", "threads", 1),
+        alpha=_parse(test, "test", "alpha", 0.5),
+        replicates=_parse(exp, "experiment", "replicates", 1, cast=int),
+        seed=_parse(exp, "experiment", "seed", cast=int),
+        threads=_parse(exp, "experiment", "threads", 1, cast=int),
         out=exp.get("out") or None,
-        slack=_parse_float(exp, "experiment", "slack", 1.05),
-        draws=_parse_int(exp, "experiment", "draws", 10000),
-        lam=_parse_float(test, "test", "lambda", 0.5),
+        slack=_parse(exp, "experiment", "slack", 1.05),
+        draws=_parse(exp, "experiment", "draws", 10000, cast=int),
+        lam=_parse(test, "test", "lambda", 0.5),
         signal_rule=str(signal.get("rule", "rho_n")).strip(),
         signal_magnitude=magnitude,
-        v_n=_parse_float(signal, "signal", "v_n", 3.0),
+        v_n=_parse(signal, "signal", "v_n", 3.0),
         c1=c1,
         x_grid=x_grid,
         sweep_magnitudes=magnitudes,
-        c_u=_parse_float(exp, "experiment", "c_u", 2.0),
-        zeta=_parse_float(exp, "experiment", "zeta", 0.0),
+        c_u=_parse(exp, "experiment", "c_u", 2.0),
+        zeta=_parse(exp, "experiment", "zeta", 0.0),
     )
 
 
@@ -300,35 +291,23 @@ class ResultTable:
         return [r[idx] for r in self.rows]
 
 
-def _certified_constants(prior: ScaleMixturePrior) -> tuple[float, float]:
-    c = check_condition2(prior).estimated_constant
-    big_c = check_condition3(prior).estimated_constant
-    return c, big_c
-
-
-def _run_mx_curve(config: ExperimentConfig) -> ResultTable:
-    table = ResultTable(["x", "m_x", "posterior_mean"], meta=config.meta())
-    xs = [float(x) for x in config.x_grid]
-    for x, m in zip(xs, ShrinkageCurve(config.prior).weights(xs)):
+def append_mx_rows(table: ResultTable, prior: ScaleMixturePrior, xs) -> None:
+    """Append one (x, m_x, posterior_mean) row per x to an MX_COLUMNS table."""
+    xs = [float(x) for x in xs]
+    for x, m in zip(xs, ShrinkageCurve(prior).weights(xs)):
         table.append(x=x, m_x=float(m), posterior_mean=float(m) * x)
-    return table
 
 
-def _run_risk_bayes(config: ExperimentConfig) -> ResultTable:
-    columns = ["row_type", "replicate"] + RISK_COLUMNS
-    table = ResultTable(columns, meta=config.meta())
+def _run_risk_bayes(config: ExperimentConfig, table: ResultTable) -> None:
     prior, model = config.prior, config.model
     curve = ShrinkageCurve(prior)
     x_star = curve.decision_threshold(config.alpha)
     analytic = bayes_risk_analytic(model, x_star)
-    c, big_c = _certified_constants(prior)
+    c, big_c = certified_constants(prior)
     bound = bayes_risk_bound(prior, model, config.alpha, big_c, c)
 
     def one(rep: int) -> float:
-        rng = substream(config.seed, rep, STREAM_TWO_GROUP)
-        is_signal = rng.random(config.draws) < model.signal_fraction
-        x = rng.standard_normal(config.draws)
-        x[is_signal] *= model.alt_sd
+        x, is_signal = model.sample(substream(config.seed, rep, STREAM_TWO_GROUP), config.draws)
         reject = np.abs(x) > x_star
         losses = (reject & ~is_signal) | (~reject & is_signal)
         return model.n * float(losses.mean())
@@ -337,8 +316,6 @@ def _run_risk_bayes(config: ExperimentConfig) -> ResultTable:
     base = dict(n=model.n, p=model.p_n, alpha=config.alpha, x_star=x_star, seed=config.seed)
     for rep, value in enumerate(risks):
         table.append(row_type="replicate", replicate=rep, bayes_risk=float(value), **base)
-    ddof = 1 if config.replicates > 1 else 0
-    se = float(risks.std(ddof=ddof)) / math.sqrt(config.replicates)
     table.append(
         row_type="aggregate",
         replicate=config.replicates,
@@ -349,83 +326,61 @@ def _run_risk_bayes(config: ExperimentConfig) -> ResultTable:
         bound=bound,
         se_type1=0.0,
         se_type2=0.0,
-        se_bayes_risk=se,
+        se_bayes_risk=standard_error(risks),
         **base,
     )
-    return table
 
 
-def _run_risk_minimax(config: ExperimentConfig) -> ResultTable:
-    columns = ["row_type", "replicate", "magnitude"] + RISK_COLUMNS
-    table = ResultTable(columns, meta=config.meta())
+def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:
     prior = config.prior
     curve = ShrinkageCurve(prior)
     x_star = curve.decision_threshold(config.alpha)
-    c, big_c = _certified_constants(prior)
+    c, big_c = certified_constants(prior)
     bound = minimax_risk_bound(config.lam, config.alpha, big_c, c, config.v_n)
     n, p = prior.n, int(round(prior.p))
 
     if config.signal_rule == "fixed":
         rho = float(config.signal_magnitude)
     else:
-        c1 = config.c1
-        if c1 == "auto":
-            c1 = calibrate_signal_offset(curve, config.alpha)
-        rho = separation_rate(prior, c1=float(c1), v_n=config.v_n)
+        rho = separation_magnitude(curve, config.alpha, config.c1, config.v_n)
     magnitudes = config.sweep_magnitudes or (rho,)
 
     for magnitude in magnitudes:
-        signal = flat_signal(n, p, magnitude)
-        theta = signal.to_vector()
-        null_mask = np.ones(n, dtype=bool)
-        null_mask[signal.support] = False
-
-        def one(rep: int) -> tuple[float, float]:
-            rng = substream(config.seed, rep, STREAM_NOISE)
-            data = theta + rng.standard_normal(n)
-            reject = np.abs(data) > x_star
-            total = int(reject.sum())
-            fdp = float(reject[null_mask].sum()) / max(total, 1)
-            fnp = float(p - reject[~null_mask].sum()) / p
-            return fdp, fnp
-
-        pairs = np.array(map_replicates(one, config.replicates, config.threads))
+        fdp, fnp = fdp_fnp_replicates(
+            flat_signal(n, p, magnitude), x_star, config.replicates, config.seed, config.threads
+        )
+        rsup = fdp + fnp
         base = dict(
             n=n, p=float(p), alpha=config.alpha, x_star=x_star,
             magnitude=float(magnitude), seed=config.seed,
         )
-        for rep, (fdp, fnp) in enumerate(pairs):
+        for rep in range(config.replicates):
             table.append(
                 row_type="replicate", replicate=rep,
-                fdr=float(fdp), fnr=float(fnp), rsup=float(fdp + fnp), **base,
+                fdr=float(fdp[rep]), fnr=float(fnp[rep]), rsup=float(rsup[rep]), **base,
             )
-        ddof = 1 if config.replicates > 1 else 0
-        root = math.sqrt(config.replicates)
         table.append(
             row_type="aggregate",
             replicate=config.replicates,
             type1=null_rejection_rate(x_star),
             type2=miss_probability(x_star, magnitude),
-            fdr=float(pairs[:, 0].mean()),
-            fnr=float(pairs[:, 1].mean()),
-            rsup=float(pairs.sum(axis=1).mean()),
+            fdr=float(fdp.mean()),
+            fnr=float(fnp.mean()),
+            rsup=float(rsup.mean()),
             bound=bound,
-            se_fdr=float(pairs[:, 0].std(ddof=ddof)) / root,
-            se_fnr=float(pairs[:, 1].std(ddof=ddof)) / root,
-            se_rsup=float(pairs.sum(axis=1).std(ddof=ddof)) / root,
+            se_fdr=standard_error(fdp),
+            se_fnr=standard_error(fnp),
+            se_rsup=standard_error(rsup),
             **base,
         )
-    return table
 
 
-def _run_adaptive(config: ExperimentConfig) -> ResultTable:
-    columns = ["row_type", "replicate", "p_hat"] + RISK_COLUMNS
-    table = ResultTable(columns, meta=config.meta())
+def _run_adaptive(config: ExperimentConfig, table: ResultTable) -> None:
     model = config.model
     prior = config.prior
-    c, big_c = _certified_constants(prior)
-    bound = adaptive_bayes_risk_bound(
-        prior, model, config.alpha, big_c, c, config.c_u, config.zeta
+    c, big_c = certified_constants(prior)
+    bound = bayes_risk_bound(
+        prior, model, config.alpha, big_c, c, c_u=config.c_u, zeta=config.zeta
     )
     losses, p_hats = adaptive_risk_replicates(
         horseshoe_family, model, config.alpha,
@@ -437,7 +392,6 @@ def _run_adaptive(config: ExperimentConfig) -> ResultTable:
             row_type="replicate", replicate=rep, p_hat=float(p_hat),
             bayes_risk=float(loss), **base,
         )
-    ddof = 1 if config.replicates > 1 else 0
     table.append(
         row_type="aggregate",
         replicate=config.replicates,
@@ -445,33 +399,33 @@ def _run_adaptive(config: ExperimentConfig) -> ResultTable:
         bayes_risk=float(losses.mean()),
         oracle_risk=oracle_risk(model),
         bound=bound,
-        se_bayes_risk=float(losses.std(ddof=ddof)) / math.sqrt(config.replicates),
+        se_bayes_risk=standard_error(losses),
         **base,
     )
-    return table
+
+
+_RUNNERS = {
+    "mx_curve": lambda config, table: append_mx_rows(table, config.prior, config.x_grid),
+    "risk_bayes": _run_risk_bayes,
+    "risk_minimax": _run_risk_minimax,
+    "adaptive": _run_adaptive,
+}
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run a config and return its table; writes CSV when an out path is set.
 
-    On an error mid-run, whatever rows exist are flushed with a trailing
-    failure marker row before the exception propagates.
+    The runner appends its rows to a table built here, so on an error
+    mid-run the rows it finished are flushed, followed by a failure
+    marker row (the message in the first column), before the exception
+    propagates.
     """
-    runner = {
-        "mx_curve": _run_mx_curve,
-        "risk_bayes": _run_risk_bayes,
-        "risk_minimax": _run_risk_minimax,
-        "adaptive": _run_adaptive,
-    }[config.kind]
-    table = ResultTable(["row_type"], meta=config.meta())
+    table = ResultTable(list(_COLUMNS[config.kind]), meta=config.meta())
     try:
-        table = runner(config)
+        _RUNNERS[config.kind](config, table)
     except Exception as exc:
         if config.out:
-            if "row_type" in table.columns:
-                table.rows.append(tuple(
-                    f"failure: {exc}" if c == "row_type" else "" for c in table.columns
-                ))
+            table.rows.append((f"failure: {exc}",) + ("",) * (len(table.columns) - 1))
             table.write(config.out)
         raise
     if config.out:

@@ -45,6 +45,7 @@ __all__ = [
     "check_condition1_lower",
     "check_condition2",
     "check_condition3",
+    "certified_constants",
     "certify_prior",
     "normalization",
     "validate_density",
@@ -462,6 +463,11 @@ def check_condition3(
         witness=None,
         grid={"s_n": s_n, "nu_sq": nu_sq, "rel_tol": rel_tol},
     )
+
+
+def certified_constants(prior: ScaleMixturePrior) -> tuple[float, float]:
+    """The pair (c, C) the risk bounds consume: C2's mass and C3's decay constant."""
+    return check_condition2(prior).estimated_constant, check_condition3(prior).estimated_constant
 
 
 def certify_prior(

@@ -35,6 +35,9 @@ __all__ = [
     "minimax_risk_bound",
     "separation_rate",
     "calibrate_signal_offset",
+    "separation_magnitude",
+    "fdp_fnp_replicates",
+    "standard_error",
     "fdr_fnr_mc",
     "two_group_risk_mc",
     "oracle_comparison_mc",
@@ -169,17 +172,24 @@ def bayes_risk_bound(
     alpha: float,
     cond3_constant: float,
     cond2_constant: float,
+    c_u: float = 1.0,
+    zeta: float = 0.0,
 ) -> float:
     """Leading term of the additive-risk guarantee:
-    p_n (8 sqrt(pi) C / (c alpha) + 2 Phi(sqrt(2K(u0+1) c_psi)) - 1)."""
+    p_n (8 sqrt(pi) C C^u / (c alpha) + 2 Phi(sqrt(2K(u0+1)(1+zeta) c_psi)) - 1).
+
+    The defaults (C^u = 1, zeta = 0) give the guarantee with p known; the
+    plug-in guarantee passes the estimator-window constants."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if cond3_constant is None or cond2_constant is None:
         raise ValueError("bound needs the certified constants C and c")
     if not cond2_constant > 0.0 or cond3_constant < 0.0:
         raise ValueError("need c > 0 and C >= 0")
-    type1_term = 8.0 * math.sqrt(math.pi) * cond3_constant / (cond2_constant * alpha)
-    return model.p_n * (type1_term + _tail_term(prior, model.c_psi))
+    if not c_u > 0.0 or zeta < 0.0:
+        raise ValueError("need C^u > 0 and zeta >= 0")
+    type1_term = 8.0 * math.sqrt(math.pi) * cond3_constant * c_u / (cond2_constant * alpha)
+    return model.p_n * (type1_term + _tail_term(prior, model.c_psi, zeta))
 
 
 def minimax_risk_bound(
@@ -188,25 +198,27 @@ def minimax_risk_bound(
     cond3_constant: float,
     cond2_constant: float,
     v_n: float,
+    c_u: float = 1.0,
 ) -> float:
     """Leading term of the FDR + FNR guarantee at separation v_n:
-    1 / (1 + lam alpha c / (8 C sqrt(pi))) + Phi(-v_n).
+    1 / (1 + lam alpha c / (8 C^u C sqrt(pi))) + Phi(-v_n).
 
-    lam is a free tuning fraction of guaranteed true discoveries.  The
-    non-adaptive guarantee holds for any lam in (0, 1); its plug-in
-    counterpart needs lam < Phi(v_n), so staying below that keeps the
-    two bounds comparable.
+    lam is a free tuning fraction of guaranteed true discoveries.  With p
+    known (c_u = 1) any lam in (0, 1) works; the plug-in guarantee
+    (c_u = C^u) is stated for lam < Phi(v_n), a restriction the caller owns.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if not c_u > 0.0:
+        raise ValueError("C^u must be positive")
     if not cond2_constant > 0.0 or cond3_constant < 0.0:
         raise ValueError("need c > 0 and C >= 0")
     if cond3_constant == 0.0:
         fdr_term = 0.0
     else:
-        ratio = lam * alpha * cond2_constant / (8.0 * cond3_constant * math.sqrt(math.pi))
+        ratio = lam * alpha * cond2_constant / (8.0 * c_u * cond3_constant * math.sqrt(math.pi))
         fdr_term = 1.0 / (1.0 + ratio)
     return fdr_term + float(norm.cdf(-v_n))
 
@@ -218,7 +230,7 @@ def separation_rate(
     v_n: float = 0.0,
 ) -> float:
     """Smallest certified-detectable magnitude:
-    c1 + sqrt(2K(u0+1) log(n/p)) + v_n."""
+    c1 + sqrt(2K(u0+1) log(n/p)), p the prior's or the plug-in floor, + v_n."""
     if v_n < 0.0:
         raise ValueError("v_n must be nonnegative")
     return large_signal_threshold(prior, p, c1) + v_n
@@ -250,24 +262,35 @@ def calibrate_signal_offset(
     return max(0.0, t_grid - large_signal_threshold(curve.prior))
 
 
+def separation_magnitude(
+    curve: ShrinkageCurve, alpha: float, c1: float | str = "auto", v_n: float = 0.0
+) -> float:
+    """The separation rate at the prior's p; c1 = "auto" is calibrated on the curve."""
+    c1 = calibrate_signal_offset(curve, alpha) if c1 == "auto" else float(c1)
+    return separation_rate(curve.prior, c1=c1, v_n=v_n)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def fdr_fnr_mc(
-    curve: ShrinkageCurve,
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of per-replicate values (ddof 0 for one value)."""
+    return float(values.std(ddof=1 if len(values) > 1 else 0)) / math.sqrt(len(values))
+
+
+def fdp_fnp_replicates(
     signal: SparseSignal,
-    alpha: float,
+    x_star: float,
     replicates: int,
     seed: int,
     threads: int = 1,
-) -> RiskReport:
-    """FDR, FNR and their sum for a fixed signal under unit Gaussian noise.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replicate (FDP, FNP) arrays of the cut x* for a fixed signal.
 
-    Each replicate draws fresh noise on its own (seed, replicate) stream;
-    the false-discovery proportion uses the max(rejections, 1) convention.
-    Results are bit-for-bit reproducible for a given seed and independent
-    of how replicates are scheduled.
+    Each replicate draws unit Gaussian noise on its own (seed, replicate)
+    stream, so results do not depend on scheduling; the false-discovery
+    proportion uses the max(rejections, 1) convention.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -276,7 +299,6 @@ def fdr_fnr_mc(
     theta = signal.to_vector()
     null_mask = np.ones(signal.n, dtype=bool)
     null_mask[signal.support] = False
-    x_star = curve.decision_threshold(alpha)
 
     def one(rep: int) -> tuple[float, float]:
         rng = substream(seed, rep, STREAM_NOISE)
@@ -288,13 +310,23 @@ def fdr_fnr_mc(
         return fdp, fnp
 
     pairs = np.array(map_replicates(one, replicates, threads))
-    fdp, fnp = pairs[:, 0], pairs[:, 1]
-    ddof = 1 if replicates > 1 else 0
-    root = math.sqrt(replicates)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def fdr_fnr_mc(
+    curve: ShrinkageCurve,
+    signal: SparseSignal,
+    alpha: float,
+    replicates: int,
+    seed: int,
+    threads: int = 1,
+) -> RiskReport:
+    """FDR, FNR and their sum for a fixed signal under unit Gaussian noise,
+    averaged over fdp_fnp_replicates at the curve's cut x*(alpha)."""
+    x_star = curve.decision_threshold(alpha)
+    fdp, fnp = fdp_fnp_replicates(signal, x_star, replicates, seed, threads)
     ses = {
-        "fdr": float(fdp.std(ddof=ddof)) / root,
-        "fnr": float(fnp.std(ddof=ddof)) / root,
-        "rsup": float((fdp + fnp).std(ddof=ddof)) / root,
+        "fdr": standard_error(fdp), "fnr": standard_error(fnp), "rsup": standard_error(fdp + fnp),
     }
     fdr, fnr = float(fdp.mean()), float(fnp.mean())
     return RiskReport(
@@ -322,10 +354,7 @@ def _two_group_counts(
         m = per_batch[batch]
         if m == 0:
             return (0, 0) + (0, 0) * len(cuts) + (0, 0)
-        rng = substream(seed, batch, STREAM_TWO_GROUP)
-        is_signal = rng.random(m) < model.signal_fraction
-        x = rng.standard_normal(m)
-        x[is_signal] *= model.alt_sd
+        x, is_signal = model.sample(substream(seed, batch, STREAM_TWO_GROUP), m)
         abs_x = np.abs(x)
         out = [int(is_signal.sum()), m]
         losses = []

@@ -103,6 +103,14 @@ class TwoGroupModel:
         """Marginal standard deviation of a signal coordinate."""
         return math.sqrt(1.0 + self.psi_sq)
 
+    def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (x, is_signal) for size coordinates: labels, then normals,
+        then the signal rescaling, the stream layout every MC path keys on."""
+        is_signal = rng.random(size) < self.signal_fraction
+        x = rng.standard_normal(size)
+        x[is_signal] *= self.alt_sd
+        return x, is_signal
+
     def oracle_cutoff(self) -> float:
         """|x| cut of the posterior-odds rule at posterior probability 1/2.
 

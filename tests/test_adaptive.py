@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from shrinktest import (
     adaptive_bayes_risk_bound,
     adaptive_bayes_risk_mc,
     adaptive_minimax_risk_bound,
+    adaptive_risk_replicates,
     adaptive_separation_rate,
     adaptive_threshold_test,
     bayes_risk_bound,
@@ -132,17 +134,27 @@ class TestAdaptiveBounds:
         adaptive = adaptive_bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=1.0, zeta=0.0)
         plain = bayes_risk_bound(prior, model, 0.5, 0.25, 0.5)
         assert adaptive == pytest.approx(plain)
+        # The window constants at their neutral values leave every bit in place.
+        assert bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=1.0, zeta=0.0) == plain
+        assert adaptive == plain
 
     def test_window_inflation(self, model):
         prior = horseshoe_prior(0.01, 10**4, 100)
         inflated = adaptive_bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=2.0, zeta=0.5)
         plain = bayes_risk_bound(prior, model, 0.5, 0.25, 0.5)
         assert inflated > plain
+        for c_u, zeta in ((0.0, 0.0), (1.0, -0.5)):
+            with pytest.raises(ValueError, match="zeta"):
+                adaptive_bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=c_u, zeta=zeta)
+        with pytest.raises(ValueError, match="C\\^u"):
+            adaptive_minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, c_u=0.0, v_n=3.0)
 
     def test_minimax_reduces_to_non_adaptive(self):
         adaptive = adaptive_minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, c_u=1.0, v_n=3.0)
         plain = minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, 3.0)
         assert adaptive == pytest.approx(plain)
+        assert minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, 3.0, c_u=1.0) == plain
+        assert adaptive == plain
 
     def test_separation_rate_floor(self):
         prior = horseshoe_prior(0.01, 10**4, 100)
@@ -165,6 +177,27 @@ class TestAdaptiveRiskMc:
         a = adaptive_bayes_risk_mc(horseshoe_family, model, 0.5, replicates=10, seed=8, threads=1)
         b = adaptive_bayes_risk_mc(horseshoe_family, model, 0.5, replicates=10, seed=8, threads=4)
         assert a == b
+
+    def test_one_threshold_per_distinct_p_hat(self, model, monkeypatch):
+        # Eight threads racing for the same p_hat must not each compute its cut.
+        calls = []
+        original = ShrinkageCurve.decision_threshold
+
+        def counted(curve, alpha):
+            calls.append(curve.prior.p)
+            return original(curve, alpha)
+
+        monkeypatch.setattr(ShrinkageCurve, "decision_threshold", counted)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _, p_hats = adaptive_risk_replicates(
+                horseshoe_family, model, 0.5, 200, seed=3, threads=8
+            )
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(calls) == len(np.unique(p_hats))
+        assert sorted(calls) == sorted(np.unique(p_hats))
 
     def test_close_to_plug_in_truth(self, model):
         # With the estimator pinned near the truth the adaptive risk sits in

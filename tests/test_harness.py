@@ -184,6 +184,36 @@ class TestRunExperiment:
         content = out.read_text()
         assert "failure:" in content
 
+    def test_failure_keeps_finished_rows(self, tmp_path, monkeypatch):
+        # The second magnitude of the sweep fails; the first one's rows stay.
+        from shrinktest import harness
+
+        text = BASE_CONFIG.replace("kind = risk_bayes", "kind = risk_minimax")
+        text += "\n[signal]\nc1 = 0\n\n[sweep]\nmagnitudes = 5.0,6.0\n"
+        out = tmp_path / "partial.csv"
+        config = load_config(write_config(tmp_path, text))
+        from dataclasses import replace
+
+        config = replace(config, out=str(out))
+        original, calls = harness.flat_signal, []
+
+        def failing_second(n, p, magnitude):
+            calls.append(magnitude)
+            if len(calls) == 2:
+                raise RuntimeError("injected failure")
+            return original(n, p, magnitude)
+
+        monkeypatch.setattr(harness, "flat_signal", failing_second)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_experiment(config)
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        header = lines[0].split(",")
+        assert header[:3] == ["row_type", "replicate", "magnitude"]
+        rows = [dict(zip(header, l.split(","))) for l in lines[1:-1]]
+        assert [r["row_type"] for r in rows] == ["replicate"] * 3 + ["aggregate"]
+        assert {r["magnitude"] for r in rows} == {"5.0"}
+        assert lines[-1].startswith("failure: injected failure")
+
     def test_mx_curve_kind(self, tmp_path):
         text = """\
 [experiment]
