@@ -9,6 +9,7 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -75,6 +76,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (no clock seeding)")
@@ -157,8 +159,7 @@ def _cmd_test(args) -> int:
     curve = ShrinkageCurve(parse_prior_spec(args.prior))
     decisions = threshold_test(curve, np.array(data), args.alpha)
     table = ResultTable(["index", "x", "decision"])
-    for i, (x, d) in enumerate(zip(data, decisions.decisions)):
-        table.append(index=i, x=x, decision=int(d))
+    table.extend(index=range(len(data)), x=data, decision=decisions.decisions.astype(int).tolist())
     _emit(table.csv_text(), args.out)
     return EXIT_OK
 

@@ -10,7 +10,7 @@ the full config in comment lines to stay self-describing.
 from __future__ import annotations
 
 import configparser
-import io
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -115,6 +115,18 @@ class ExperimentConfig:
             raise ConfigError("mx.x", "mx_curve needs a prior and an x grid")
         if self.kind == "adaptive" and self.prior is not None and self.prior.family != "horseshoe":
             raise ConfigError("prior.family", "the adaptive pipeline plugs p_hat into the horseshoe family")
+        for name, ok, rule in (  # written so that nan fails too
+            ("sweep.magnitudes", all(map(math.isfinite, self.sweep_magnitudes))
+             and 0.0 not in self.sweep_magnitudes, "must be finite and nonzero"),
+            ("experiment.draws", self.draws >= 1, "must be >= 1"),
+            ("experiment.slack", self.slack >= 1.0, "must be >= 1"),
+            ("test.lambda", 0.0 < self.lam < 1.0, "must lie in (0, 1)"),
+            ("signal.v_n", self.v_n >= 0.0, "must be >= 0"),
+            ("experiment.c_u", self.c_u > 0.0, "must be > 0"),
+            ("experiment.zeta", self.zeta >= 0.0, "must be >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(name, rule)
 
     def meta(self) -> dict[str, str]:
         out: dict[str, str] = {
@@ -252,12 +264,23 @@ class ResultTable:
     columns: list[str]
     rows: list[tuple] = field(default_factory=list)
     meta: dict[str, str] = field(default_factory=dict)
+    # Writers for a column whose cells all have one of these exact types, keyed by
+    # the column's set of types; they give _format's text without its checks.
+    _PLAIN = {(float,): float.__repr__, (int,): int.__repr__, (str,): str}
 
-    def append(self, **values) -> None:
-        unknown = set(values) - set(self.columns)
+    def extend(self, **columns) -> None:
+        """Append one row per position of equal-length columns; absent columns are blank."""
+        unknown = columns.keys() - set(self.columns)
         if unknown:
             raise ValueError(f"unknown columns: {sorted(unknown)}")
-        self.rows.append(tuple(values.get(c, "") for c in self.columns))
+        lengths = {len(values) for values in columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"columns differ in length: {sorted(lengths)}")
+        blank = ("",) * (lengths.pop() if lengths else 0)
+        self.rows.extend(zip(*(columns.get(c, blank) for c in self.columns)))
+
+    def append(self, **values) -> None:
+        self.extend(**{key: (value,) for key, value in values.items()})
 
     @staticmethod
     def _format(value) -> str:
@@ -268,13 +291,12 @@ class ResultTable:
         return str(value)
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        for key in sorted(self.meta):
-            buf.write(f"# {key} = {self.meta[key]}\n")
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(self._format(v) for v in row) + "\n")
-        return buf.getvalue()
+        lines = [f"# {key} = {self.meta[key]}" for key in sorted(self.meta)]
+        lines.append(",".join(self.columns))
+        columns = zip(*self.rows)
+        cells = [map(self._PLAIN.get(tuple({*map(type, c)}), self._format), c) for c in columns]
+        lines.extend(map(",".join, zip(*cells)))
+        return "\n".join(lines) + "\n"
 
     def csv_bytes(self) -> bytes:
         return self.csv_text().encode("utf-8")
@@ -294,8 +316,13 @@ class ResultTable:
 def append_mx_rows(table: ResultTable, prior: ScaleMixturePrior, xs) -> None:
     """Append one (x, m_x, posterior_mean) row per x to an MX_COLUMNS table."""
     xs = [float(x) for x in xs]
-    for x, m in zip(xs, ShrinkageCurve(prior).weights(xs)):
-        table.append(x=x, m_x=float(m), posterior_mean=float(m) * x)
+    ms = ShrinkageCurve(prior).weights(xs).tolist()
+    table.extend(x=xs, m_x=ms, posterior_mean=[m * x for m, x in zip(ms, xs)])
+
+
+def _repeat(count: int, **values) -> dict[str, list]:
+    """Columns holding one value in each of count rows, for ResultTable.extend."""
+    return {key: [value] * count for key, value in values.items()}
 
 
 def _run_risk_bayes(config: ExperimentConfig, table: ResultTable) -> None:
@@ -314,8 +341,10 @@ def _run_risk_bayes(config: ExperimentConfig, table: ResultTable) -> None:
 
     risks = np.array(map_replicates(one, config.replicates, config.threads))
     base = dict(n=model.n, p=model.p_n, alpha=config.alpha, x_star=x_star, seed=config.seed)
-    for rep, value in enumerate(risks):
-        table.append(row_type="replicate", replicate=rep, bayes_risk=float(value), **base)
+    table.extend(
+        replicate=range(len(risks)), bayes_risk=risks.tolist(),
+        **_repeat(len(risks), row_type="replicate", **base),
+    )
     table.append(
         row_type="aggregate",
         replicate=config.replicates,
@@ -354,11 +383,10 @@ def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:
             n=n, p=float(p), alpha=config.alpha, x_star=x_star,
             magnitude=float(magnitude), seed=config.seed,
         )
-        for rep in range(config.replicates):
-            table.append(
-                row_type="replicate", replicate=rep,
-                fdr=float(fdp[rep]), fnr=float(fnp[rep]), rsup=float(rsup[rep]), **base,
-            )
+        table.extend(
+            replicate=range(len(fdp)), fdr=fdp.tolist(), fnr=fnp.tolist(), rsup=rsup.tolist(),
+            **_repeat(len(fdp), row_type="replicate", **base),
+        )
         table.append(
             row_type="aggregate",
             replicate=config.replicates,
@@ -387,11 +415,10 @@ def _run_adaptive(config: ExperimentConfig, table: ResultTable) -> None:
         replicates=config.replicates, seed=config.seed, threads=config.threads,
     )
     base = dict(n=model.n, p=model.p_n, alpha=config.alpha, seed=config.seed)
-    for rep, (loss, p_hat) in enumerate(zip(losses, p_hats)):
-        table.append(
-            row_type="replicate", replicate=rep, p_hat=float(p_hat),
-            bayes_risk=float(loss), **base,
-        )
+    table.extend(
+        replicate=range(len(losses)), p_hat=p_hats.tolist(), bayes_risk=losses.tolist(),
+        **_repeat(len(losses), row_type="replicate", **base),
+    )
     table.append(
         row_type="aggregate",
         replicate=config.replicates,
@@ -425,7 +452,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         _RUNNERS[config.kind](config, table)
     except Exception as exc:
         if config.out:
-            table.rows.append((f"failure: {exc}",) + ("",) * (len(table.columns) - 1))
+            table.append(**{table.columns[0]: f"failure: {exc}"})
             table.write(config.out)
         raise
     if config.out:

@@ -14,6 +14,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestParserReuse:
+    def test_main_calls_share_no_state(self, capsys, monkeypatch, tmp_path):
+        argvs = [
+            ["threshold", "--prior", PRIOR, "--alpha", "0.3", "--seed", "5",
+             "--out", str(tmp_path / "t.txt")],
+            ["mx", "--prior", PRIOR, "--x", "0,1", "--threads", "2"],
+            ["threshold", "--prior", PRIOR],
+        ]
+        seen = []
+        for name in ("threshold", "mx"):
+            monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)))
+        for argv in argvs:
+            main(argv)
+        fresh = cli._build_parser.__wrapped__()
+        assert seen == [vars(fresh.parse_args(argv)) for argv in argvs]
+        assert (seen[2]["alpha"], seen[2]["seed"], seen[2]["out"]) == (0.5, 0, None)
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_outputs_after_another_command(self, capsys, tmp_path):
+        out = tmp_path / "t.txt"
+        assert main(["threshold", "--prior", PRIOR, "--alpha", "0.3", "--out", str(out)]) == EXIT_OK
+        code, text, _ = run_cli(capsys, "mx", "--prior", PRIOR, "--x", "0,1")
+        assert code == EXIT_OK and text.startswith("x,m_x,posterior_mean\n")
+        code, text, _ = run_cli(capsys, "threshold", "--prior", PRIOR)
+        assert float(text) == pytest.approx(3.520563, abs=1e-4)
+        assert float(out.read_text()) < float(text)
+
+
 class TestMx:
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mx", "--prior", PRIOR, "--x", "0,1,2")
@@ -181,3 +209,55 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(config))
         assert code == EXIT_VALIDATION
         assert "experiment.kind" in err
+
+
+_VALID_SIMULATE = {
+    "experiment": {"id": "t", "kind": "risk_minimax", "replicates": "2", "seed": "0"},
+    "prior": {"family": "horseshoe", "tau": "0.02", "n": "2000", "p": "40"},
+    "test": {"alpha": "0.5"},
+    "signal": {"c1": "0"},
+    "sweep": {"magnitudes": "3.0,4.0"},
+}
+
+
+def _simulate_config(tmp_path, section=None, key=None, value=None):
+    sections = {name: dict(fields) for name, fields in _VALID_SIMULATE.items()}
+    if section is not None:
+        sections[section][key] = value
+    path = tmp_path / "exp.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()) + "\n"
+        for name, fields in sections.items()
+    ))
+    return str(path)
+
+
+class TestConfigValidatedAtLoad:
+    def test_valid_config_runs(self, capsys, tmp_path):
+        out = tmp_path / "o.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--config", _simulate_config(tmp_path),
+                             "--out", str(out))
+        assert code == EXIT_OK
+        assert out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("sweep.magnitudes", "3.0,0"),
+        ("sweep.magnitudes", "3.0,inf"),
+        ("sweep.magnitudes", "nan"),
+        ("experiment.draws", "0"),
+        ("experiment.slack", "0.5"),
+        ("test.lambda", "1.5"),
+        ("test.lambda", "0"),
+        ("signal.v_n", "-1"),
+        ("experiment.c_u", "0"),
+        ("experiment.zeta", "-0.5"),
+    ])
+    def test_bad_field_exits_before_any_output(self, capsys, tmp_path, field, value):
+        out = tmp_path / "o.csv"
+        section, key = field.split(".")
+        config = _simulate_config(tmp_path, section, key, value)
+        code, stdout, err = run_cli(capsys, "simulate", "--config", config, "--out", str(out))
+        assert code == EXIT_VALIDATION
+        assert field in err
+        assert stdout == ""
+        assert not out.exists()

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from shrinktest import (
     ConfigError,
@@ -14,8 +16,11 @@ from shrinktest import (
     load_config,
     run_experiment,
 )
+from shrinktest.cli import EXIT_OK, main
 from shrinktest.harness import ResultTable
+from shrinktest.priors import parse_prior_spec
 from shrinktest.rng import map_replicates, split_draws, substream
+from shrinktest.shrinkage import ShrinkageCurve
 
 
 # A recording stand-in for matplotlib, written into a temporary directory and
@@ -289,6 +294,108 @@ magnitudes = 2.0,6.0
         assert len(aggregates) == 2
         # Detection degrades at the smaller magnitude.
         assert aggregates[0] > aggregates[1]
+
+
+def _row_format(value) -> str:
+    """The cell writer of the row-by-row CSV writer, kept here as the oracle."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _row_csv_text(table: ResultTable) -> str:
+    """The row-by-row CSV writer: one _row_format call per cell."""
+    lines = [f"# {key} = {table.meta[key]}" for key in sorted(table.meta)]
+    lines.append(",".join(table.columns))
+    lines += [",".join(_row_format(v) for v in row) for row in table.rows]
+    return "".join(line + "\n" for line in lines)
+
+
+_SPECIAL_FLOATS = hst.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0])
+_CELLS = {
+    "float": hst.floats() | _SPECIAL_FLOATS,
+    "int": hst.integers(),
+    "bool": hst.booleans(),
+    "str": hst.text(),
+    "none": hst.none(),
+    "blank": hst.just(""),
+    "np.float64": (hst.floats() | _SPECIAL_FLOATS).map(np.float64),
+    "np.int64": hst.integers(-(2**63), 2**63 - 1).map(np.int64),
+}
+
+
+@hst.composite
+def _tables(draw):
+    """A ResultTable whose columns each hold one cell type, or a mix of all of them."""
+    n_rows = draw(hst.integers(0, 6))
+    kinds = draw(hst.lists(hst.sampled_from([*_CELLS, "mixed"]), min_size=1, max_size=5))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        cell = hst.one_of(*_CELLS.values()) if kind == "mixed" else _CELLS[kind]
+        columns[f"c{i}"] = draw(hst.lists(cell, min_size=n_rows, max_size=n_rows))
+    meta = draw(hst.dictionaries(hst.text(min_size=1), hst.text(), max_size=3))
+    table = ResultTable(list(columns), meta=meta)
+    # Fill a random subset of columns through extend; the rest are blank.
+    given_columns = {k: v for k, v in columns.items() if draw(hst.booleans())}
+    table.extend(**given_columns)
+    return table, given_columns, n_rows
+
+
+class TestResultTable:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tables())
+    def test_csv_matches_row_writer(self, drawn):
+        table, given_columns, n_rows = drawn
+        assert len(table.rows) == (n_rows if given_columns else 0)
+        for name, cells in given_columns.items():
+            assert table.column(name) == cells
+        assert table.csv_text() == _row_csv_text(table)
+
+    def test_append_is_one_row_of_extend(self):
+        appended, extended = ResultTable(["a", "b", "c"]), ResultTable(["a", "b", "c"])
+        appended.append(a=1, c=2.5)
+        appended.append(b="x")
+        extended.extend(a=[1, ""], b=["", "x"], c=[2.5, ""])
+        assert appended.rows == extended.rows == [(1, "", 2.5), ("", "x", "")]
+
+    def test_extend_rejects_unknown_columns(self):
+        table = ResultTable(["a", "b"])
+        with pytest.raises(ValueError, match=r"unknown columns: \['z'\]"):
+            table.extend(a=[1], z=[2])
+        assert table.rows == []
+
+    def test_extend_rejects_unequal_lengths(self):
+        table = ResultTable(["a", "b"])
+        with pytest.raises(ValueError, match="differ in length"):
+            table.extend(a=[1, 2], b=[3])
+        assert table.rows == []
+
+    def test_extend_with_zero_rows_writes_header(self):
+        table = ResultTable(["a", "b"], meta={"k": "v"})
+        table.extend(a=[], b=())
+        assert table.rows == []
+        assert table.csv_text() == "# k = v\na,b\n"
+
+    def test_large_test_command_matches_row_writer(self, tmp_path):
+        # The golden test.csv has 500 lines; this run has 1e4, with values
+        # whose repr takes every form (exponents, -0.0, integers as floats).
+        data = substream(23).standard_normal(10_000) * 3.0
+        data[:4] = [-0.0, 1e-300, 123456789.0, -7.0]
+        data[4:200] *= 1e6
+        source = tmp_path / "data.txt"
+        source.write_text("".join(f"{float(v)!r}\n" for v in data), encoding="utf-8")
+        out = tmp_path / "test.csv"
+        prior = "horseshoe:tau=0.1,n=10000,p=1000"
+        code = main(["test", "--prior", prior, "--alpha", "0.5",
+                     "--input", str(source), "--out", str(out)])
+        assert code == EXIT_OK
+        x_star = ShrinkageCurve(parse_prior_spec(prior)).decision_threshold(0.5)
+        oracle = ResultTable(["index", "x", "decision"])
+        oracle.rows = [(i, float(x), int(abs(x) > x_star)) for i, x in enumerate(data)]
+        assert 0 < sum(r[2] for r in oracle.rows) < len(data)
+        assert out.read_bytes() == _row_csv_text(oracle).encode("utf-8")
 
 
 class TestEmitPlotScript:
