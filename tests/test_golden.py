@@ -1,10 +1,12 @@
-"""Frozen output bytes of the README commands and of one config per kind.
+"""Frozen output bytes of the README commands, of one config per kind and
+of the decision threshold.
 
-Each case runs a CLI command (or `simulate` on an INI written here) and
-compares its output file with the file of the same name under
-`tests/golden/`, byte for byte.  The files pin what a refactor must not
-move: every float is written by `repr`, so a change in the last bit of a
-bound, a risk or a Monte Carlo mean shows up here.  `simulate` runs each
+Each case runs a CLI command (or `simulate` on an INI written here, or
+`decision_threshold` over a grid of priors and alphas) and compares its
+output with the file of the same name under `tests/golden/`, byte for
+byte.  The files pin what a refactor must not move: every float is
+written by `repr`, so a change in the last bit of a bound, a risk, a
+threshold or a Monte Carlo mean shows up here.  `simulate` runs each
 config at threads 1 and 4 against one file, with the `# threads =` echo
 line normalised.
 
@@ -17,12 +19,14 @@ output, with
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 import tempfile
 
 import pytest
 
+from shrinktest import NumericError, ShrinkageCurve, parse_prior_spec
 from shrinktest.cli import EXIT_OK, main
 from shrinktest.rng import substream
 
@@ -170,6 +174,36 @@ CLI_CASES = {
 }
 
 
+# The five priors of the benchmark's curve workload, and two exponential
+# priors whose searches fall back to the adaptive quadrature.
+THRESHOLD_PRIORS = [
+    f"{family},n=10000,p=100"
+    for family in (
+        "horseshoe:tau=0.1", "horseshoe:tau=0.001", "horseshoe:tau=1e-6",
+        "exponential:rate=1", "exponential:rate=10", "exponential:rate=100",
+        "inverse_gamma:shape=2,scale=1",
+    )
+]
+THRESHOLD_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+
+def _thresholds(workdir: pathlib.Path) -> bytes:
+    """repr(x*(alpha)), or the class name of the error raised, per prior and alpha."""
+    cases: dict[str, dict[str, str]] = {}
+    for spec in THRESHOLD_PRIORS:
+        curve = ShrinkageCurve(parse_prior_spec(spec))
+        cases[spec] = {}
+        for alpha in THRESHOLD_ALPHAS:
+            try:
+                cases[spec][repr(alpha)] = repr(curve.decision_threshold(alpha))
+            except NumericError as exc:
+                cases[spec][repr(alpha)] = type(exc).__name__
+    return (json.dumps(cases, indent=2) + "\n").encode("utf-8")
+
+
+LIBRARY_CASES = {"thresholds.json": _thresholds}
+
+
 def _simulate(workdir: pathlib.Path, kind: str, threads: int) -> bytes:
     config = workdir / f"{kind}.ini"
     config.write_text(CONFIGS[kind].replace("threads = 1", f"threads = {threads}"),
@@ -187,6 +221,11 @@ def test_cli_output_bytes(name, tmp_path):
     assert CLI_CASES[name](tmp_path) == _golden(name)
 
 
+@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
+def test_library_output_bytes(name, tmp_path):
+    assert LIBRARY_CASES[name](tmp_path) == _golden(name)
+
+
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_simulate_output_bytes(kind, threads, tmp_path):
@@ -197,7 +236,9 @@ def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
-        outputs = {name: case(workdir) for name, case in CLI_CASES.items()}
+        outputs = {
+            name: case(workdir) for name, case in {**CLI_CASES, **LIBRARY_CASES}.items()
+        }
         outputs.update(
             {f"simulate_{kind}.csv": _simulate(workdir, kind, 1) for kind in CONFIGS}
         )
