@@ -121,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="override the signal magnitude (default: separation rate)")
 
     p_ad = sub.add_parser("adaptive", parents=[common], help="plug-in pipeline verification as JSON")
-    p_ad.add_argument("--estimator", choices=["simple"], default="simple")
-    p_ad.add_argument("--prior-family", choices=["horseshoe"], default="horseshoe")
     p_ad.add_argument("--n", type=int, required=True)
     p_ad.add_argument("--p", type=float, required=True)
     p_ad.add_argument("--c-psi", type=float, default=1.0)

@@ -157,8 +157,8 @@ class ExperimentConfig:
             if self.sweep_magnitudes:
                 out["sweep.magnitudes"] = ",".join(repr(v) for v in self.sweep_magnitudes)
         if self.kind == "adaptive":
-            out["adaptive.c_u"] = repr(self.c_u)
-            out["adaptive.zeta"] = repr(self.zeta)
+            out["c_u"] = repr(self.c_u)
+            out["zeta"] = repr(self.zeta)
         return out
 
 
@@ -463,7 +463,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 _PLOT_REQUIRED = {
     "mx_curve": ("x", "m_x"),
     "risk_vs_signal": ("magnitude", "rsup"),
-    "risk_vs_n": ("n", "bayes_risk"),
 }
 
 
@@ -482,8 +481,7 @@ def emit_plot_script(table: ResultTable, kind: str, csv_path: str = "results.csv
         raise ValueError(f"missing columns for {kind}: {missing}")
     x_col, y_col = required
     has_bound = "bound" in table.columns
-    y_label = {"mx_curve": "shrinkage weight", "risk_vs_signal": "FDR + FNR",
-               "risk_vs_n": "additive risk"}[kind]
+    y_label = {"mx_curve": "shrinkage weight", "risk_vs_signal": "FDR + FNR"}[kind]
     lines = [
         "#!/usr/bin/env python3",
         f'"""Plot {kind} from {csv_path}."""',

@@ -69,7 +69,7 @@ class NoCrossing(NumericError):
 
 
 class ShrinkageCurve:
-    """Evaluator for the shrinkage weight m_x with a cached threshold map.
+    """Evaluator for the shrinkage weight m_x and the threshold it induces.
 
     m_x is a trapezoid sum on fixed nodes in t = log u, evaluated for a
     whole batch of x at once.  Each value checks itself: the sum over
@@ -79,14 +79,13 @@ class ShrinkageCurve:
     (``adaptive_weight``), which also serves as the reference; the number
     of such recomputations is ``fallbacks``.
 
-    Evaluations are pure; the threshold cache is guarded by a lock so a
-    curve can be shared across threads.
+    Evaluations are pure and a curve holds no threshold state; a lock
+    guards ``fallbacks`` so a curve can be shared across threads.
     """
 
     def __init__(self, prior: ScaleMixturePrior, quad_tolerance: float = DEFAULT_REL_TOL):
         self.prior = prior
         self.quad_tolerance = quad_tolerance
-        self._threshold_cache: dict[float, float] = {}
         self._lock = threading.Lock()
         self._fallbacks = 0
         # z-scan used to normalize the integrand scale before quadrature;
@@ -205,12 +204,6 @@ class ShrinkageCurve:
             raise NumericError("shrinkage weight denominator underflowed")
         return float(min(max(num / den, 0.0), 1.0))
 
-    @property
-    def threshold_cache(self) -> dict[float, float]:
-        """Snapshot of the alpha -> x*(alpha) crossings computed so far."""
-        with self._lock:
-            return dict(self._threshold_cache)
-
     def posterior_mean(self, x: float) -> float:
         """Posterior mean of the signal: m_x * x (odd, contracts toward 0)."""
         return self.weight(x) * float(x)
@@ -222,29 +215,19 @@ class ShrinkageCurve:
     def decision_threshold(self, alpha: float) -> float:
         """The crossing x* >= 0 with m_{x*} = alpha, found by bisection.
 
-        One batch of weights on [0, cap] checks that m is monotone there
-        (bisection refuses otherwise) and gives m at both ends of the
-        first bracket.  Raises AlwaysReject when m_0 >= alpha and
+        The fixed-node m is a finite exponential family in s = x^2/2, so
+        dm/ds is the node variance of z and m is monotone by construction.
+        Adaptive values carry no such proof: if any x fell back during
+        the search, a batch of weights on [0, cap] must be monotone
+        before x* is returned.  Raises AlwaysReject when m_0 >= alpha and
         NoCrossing when m stays below alpha up to twice the search cap.
         """
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        with self._lock:
-            if alpha in self._threshold_cache:
-                return self._threshold_cache[alpha]
+        fallbacks = self.fallbacks
         cap = self.search_cap()
-        grid = np.linspace(0.0, cap, _MONOTONE_GRID)
-        vals = self.weights(grid)
-        drops = np.diff(vals)
-        worst = float(drops.min())
-        if worst < -_MONOTONE_TOL:
-            at = float(grid[int(np.argmin(drops)) + 1])
-            raise NumericError(
-                f"shrinkage weight is not monotone on [0, {cap:.3g}]: "
-                f"drop of {-worst:.3e} at x={at:.6g}; refusing to bisect"
-            )
-        m0, m_cap = float(vals[0]), float(vals[-1])
+        m0, m_cap = self.weights([0.0, cap]).tolist()
         if m0 >= alpha:
             raise AlwaysReject(f"m_0 = {m0:.6g} >= alpha = {alpha:.6g}")
         lo, hi = 0.0, cap
@@ -264,10 +247,17 @@ class ShrinkageCurve:
                 hi = mid
             else:
                 lo = mid
-        x_star = 0.5 * (lo + hi)
-        with self._lock:
-            self._threshold_cache[alpha] = x_star
-        return x_star
+        if self.fallbacks != fallbacks:
+            grid = np.linspace(0.0, cap, _MONOTONE_GRID)
+            drops = np.diff(self.weights(grid))
+            worst = float(drops.min())
+            if worst < -_MONOTONE_TOL:
+                at = float(grid[int(np.argmin(drops)) + 1])
+                raise NumericError(
+                    f"shrinkage weight is not monotone on [0, {cap:.3g}]: "
+                    f"drop of {-worst:.3e} at x={at:.6g}; x* refused"
+                )
+        return 0.5 * (lo + hi)
 
 
 def large_signal_threshold(

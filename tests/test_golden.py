@@ -187,7 +187,7 @@ THRESHOLD_PRIORS = [
 THRESHOLD_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def _thresholds(workdir: pathlib.Path) -> bytes:
+def _thresholds() -> bytes:
     """repr(x*(alpha)), or the class name of the error raised, per prior and alpha."""
     cases: dict[str, dict[str, str]] = {}
     for spec in THRESHOLD_PRIORS:
@@ -199,9 +199,6 @@ def _thresholds(workdir: pathlib.Path) -> bytes:
             except NumericError as exc:
                 cases[spec][repr(alpha)] = type(exc).__name__
     return (json.dumps(cases, indent=2) + "\n").encode("utf-8")
-
-
-LIBRARY_CASES = {"thresholds.json": _thresholds}
 
 
 def _simulate(workdir: pathlib.Path, kind: str, threads: int) -> bytes:
@@ -221,9 +218,8 @@ def test_cli_output_bytes(name, tmp_path):
     assert CLI_CASES[name](tmp_path) == _golden(name)
 
 
-@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
-def test_library_output_bytes(name, tmp_path):
-    assert LIBRARY_CASES[name](tmp_path) == _golden(name)
+def test_threshold_bytes():
+    assert _thresholds() == _golden("thresholds.json")
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -236,9 +232,8 @@ def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
-        outputs = {
-            name: case(workdir) for name, case in {**CLI_CASES, **LIBRARY_CASES}.items()
-        }
+        outputs = {name: case(workdir) for name, case in CLI_CASES.items()}
+        outputs["thresholds.json"] = _thresholds()
         outputs.update(
             {f"simulate_{kind}.csv": _simulate(workdir, kind, 1) for kind in CONFIGS}
         )

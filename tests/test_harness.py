@@ -137,6 +137,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/exp.ini")
 
+    def test_experiment_keys_echoed_as_read(self, tmp_path):
+        # c_u and zeta are read from [experiment], like slack and draws.
+        text = BASE_CONFIG.replace("kind = risk_bayes", "kind = adaptive")
+        text = text.replace("draws = 500\n", "c_u = 3.5\nzeta = 0.25\n")
+        config = load_config(write_config(tmp_path, text))
+        echo = [l for l in run_experiment(config).csv_text().splitlines() if l.startswith("#")]
+        assert "# c_u = 3.5" in echo
+        assert "# zeta = 0.25" in echo
+        assert not [l for l in echo if l.startswith("# adaptive.")]
+
     def test_bad_prior_section(self, tmp_path):
         text = BASE_CONFIG.replace("family = horseshoe", "family = unknown")
         with pytest.raises(ConfigError) as err:
@@ -405,8 +415,9 @@ class TestEmitPlotScript:
             emit_plot_script(table, "mx_curve")
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown plot kind"):
-            emit_plot_script(ResultTable(["x"]), "pie_chart")
+        for kind in ("pie_chart", "risk_vs_n"):
+            with pytest.raises(ValueError, match="unknown plot kind"):
+                emit_plot_script(ResultTable(["x"]), kind)
 
     @staticmethod
     def _mx_curve_script(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from shrinktest import (
     AlwaysReject,
     NoCrossing,
+    NumericError,
     ScaleMixturePrior,
     ShrinkageCurve,
     calibrate_signal_offset,
@@ -252,7 +253,45 @@ class TestDecisionThreshold:
             with pytest.raises(ValueError):
                 hs_curve.decision_threshold(alpha)
 
-    def test_cache_consistent_across_threads(self):
+    def test_refuses_non_monotone_fallback_curve(self):
+        curve = ShrinkageCurve(box_prior())
+        # Every x of the box prior falls back, here to a step function
+        # that drops from 0.8 to 0.45 at |x| = 4.
+        curve.adaptive_weight = lambda x: (0.2, 0.8, 0.45, 0.9)[min(int(abs(x) // 2), 3)]
+        with pytest.raises(NumericError, match="not monotone"):
+            curve.decision_threshold(0.5)
+
+    @staticmethod
+    def _batch_sizes(curve):
+        """Record the number of x in every batch the curve evaluates."""
+        sizes = []
+        evaluate = curve._evaluate
+
+        def recording(xs):
+            sizes.append(len(xs))
+            return evaluate(xs)
+
+        curve._evaluate = recording
+        return sizes
+
+    @pytest.mark.parametrize("prior", CURVE_PRIORS, ids=CURVE_IDS)
+    def test_fixed_node_search_skips_monotone_grid(self, prior):
+        curve = ShrinkageCurve(prior)
+        sizes = self._batch_sizes(curve)
+        curve.decision_threshold(0.5)
+        assert max(sizes) <= 2
+        assert curve.fallbacks == 0
+
+    def test_fallback_search_checks_monotone_grid(self):
+        # At alpha = 0.9 the search reaches |x| ~ 45, where the
+        # exponential prior's peak is narrower than the node step.
+        curve = ShrinkageCurve(exponential_prior(10.0, 10**4, 100))
+        sizes = self._batch_sizes(curve)
+        curve.decision_threshold(0.9)
+        assert curve.fallbacks > 0
+        assert sizes.count(65) == 1
+
+    def test_same_threshold_across_threads(self):
         curve = ShrinkageCurve(horseshoe_prior(0.05, 1000, 50))
         results = [None] * 8
 
