@@ -15,16 +15,12 @@ import sys
 
 import numpy as np
 
-from .adaptive import (
-    adaptive_bayes_risk_mc,
-    horseshoe_family,
-    simple_count_estimator,
-    verify_condition4,
-)
+from .adaptive import horseshoe_family, simple_count_estimator, verify_condition4
 from .harness import (
     MX_COLUMNS,
     RISK_COLUMNS,
     ConfigError,
+    ExperimentConfig,
     ResultTable,
     append_mx_rows,
     load_config,
@@ -32,18 +28,7 @@ from .harness import (
 )
 from .priors import DegenerateSparsityError, certified_constants, certify_prior, parse_prior_spec
 from .quadrature import NumericError
-from .risk import (
-    bayes_risk_analytic,
-    bayes_risk_bound,
-    fdr_fnr_mc,
-    flat_signal,
-    minimax_risk_bound,
-    miss_probability,
-    null_rejection_rate,
-    oracle_risk,
-    separation_magnitude,
-    two_group_risk_mc,
-)
+from .risk import bayes_risk_analytic, bayes_risk_bound, oracle_risk, two_group_risk_mc
 from .shrinkage import ShrinkageCurve
 from .testing import TwoGroupModel, threshold_test
 
@@ -198,54 +183,44 @@ def _cmd_risk_bayes(args) -> int:
     return EXIT_OK
 
 
+def _aggregate_row(config: ExperimentConfig) -> dict:
+    """The aggregate row of run_experiment(config), keyed by column."""
+    table = run_experiment(config)
+    return dict(zip(table.columns, table.rows[-1]))
+
+
 def _cmd_risk_minimax(args) -> int:
-    prior = parse_prior_spec(args.prior)
-    curve = ShrinkageCurve(prior)
-    x_star = curve.decision_threshold(args.alpha)
-    c, big_c = certified_constants(prior)
-    bound = minimax_risk_bound(args.lam, args.alpha, big_c, c, args.v_n)
-    if args.magnitude is not None:
-        rho = args.magnitude
-    else:
-        rho = separation_magnitude(curve, args.alpha, args.c1, args.v_n)
-    n, p = prior.n, int(round(prior.p))
-    report = fdr_fnr_mc(curve, flat_signal(n, p, rho), args.alpha,
-                        replicates=args.replicates, seed=args.seed, threads=args.threads)
-    table = ResultTable(["row_type", "magnitude"] + RISK_COLUMNS)
-    table.append(
-        row_type="aggregate", magnitude=rho,
-        n=n, p=float(p), alpha=args.alpha, x_star=x_star,
-        type1=null_rejection_rate(x_star), type2=miss_probability(x_star, rho),
-        fdr=report.fdr, fnr=report.fnr, rsup=report.rsup, bound=bound,
-        se_fdr=report.se("fdr"), se_fnr=report.se("fnr"), se_rsup=report.se("rsup"),
-        seed=args.seed,
+    config = ExperimentConfig(
+        experiment_id="risk-minimax", kind="risk_minimax", prior=parse_prior_spec(args.prior),
+        model=None, alpha=args.alpha, replicates=args.replicates, seed=args.seed,
+        threads=args.threads, lam=args.lam, v_n=args.v_n, c1=args.c1,
+        signal_rule="rho_n" if args.magnitude is None else "fixed",
+        signal_magnitude=args.magnitude,
     )
+    row = _aggregate_row(config)
+    table = ResultTable(["row_type", "magnitude"] + RISK_COLUMNS)
+    table.append(**{column: row[column] for column in table.columns})
     _emit(table.csv_text(), args.out)
     return EXIT_OK
 
 
 def _cmd_adaptive(args) -> int:
     model = TwoGroupModel.from_c_psi(args.n, args.p, args.c_psi)
-    prior = horseshoe_family(args.n, args.p)
+    config = ExperimentConfig(
+        experiment_id="adaptive", kind="adaptive", prior=horseshoe_family(args.n, args.p),
+        model=model, alpha=args.alpha, replicates=args.risk_replicates, seed=args.seed,
+        threads=args.threads, c_u=args.c_u, zeta=args.zeta,
+    )
     cond4 = verify_condition4(
         simple_count_estimator, model, c_u=args.c_u, zeta=args.zeta,
         replicates=args.replicates, seed=args.seed, threads=args.threads,
     )
-    risk = adaptive_bayes_risk_mc(
-        horseshoe_family, model, args.alpha,
-        replicates=args.risk_replicates, seed=args.seed, threads=args.threads,
-    )
-    c, big_c = certified_constants(prior)
-    bound = bayes_risk_bound(prior, model, args.alpha, big_c, c, c_u=args.c_u, zeta=args.zeta)
+    row = _aggregate_row(config)
     record = {
         "condition4": cond4.to_record(),
-        "risk": {
-            "bayes_risk": risk.bayes_risk,
-            "se_bayes_risk": risk.se("bayes_risk"),
-            "replicates": risk.n_replicates,
-            "bound": bound,
-            "oracle_risk": oracle_risk(model),
-        },
+        "risk": {"bayes_risk": row["bayes_risk"], "se_bayes_risk": row["se_bayes_risk"],
+                 "replicates": row["replicate"], "bound": row["bound"],
+                 "oracle_risk": row["oracle_risk"]},
         "seed": args.seed,
     }
     _emit(json.dumps(record, indent=2) + "\n", args.out)

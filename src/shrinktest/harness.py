@@ -115,9 +115,19 @@ class ExperimentConfig:
             raise ConfigError("mx.x", "mx_curve needs a prior and an x grid")
         if self.kind == "adaptive" and self.prior is not None and self.prior.family != "horseshoe":
             raise ConfigError("prior.family", "the adaptive pipeline plugs p_hat into the horseshoe family")
+        if self.c1 != "auto":
+            try:
+                object.__setattr__(self, "c1", float(self.c1))
+            except ValueError:
+                raise ConfigError("signal.c1", f"expected 'auto' or a number, got {self.c1!r}") from None
         for name, ok, rule in (  # written so that nan fails too
             ("sweep.magnitudes", all(map(math.isfinite, self.sweep_magnitudes))
              and 0.0 not in self.sweep_magnitudes, "must be finite and nonzero"),
+            ("signal.magnitude", self.signal_magnitude is None
+             or (math.isfinite(self.signal_magnitude) and self.signal_magnitude != 0.0),
+             "must be finite and nonzero"),
+            ("signal.c1", self.c1 == "auto" or (math.isfinite(self.c1) and self.c1 >= 0.0),
+             "must be 'auto' or a finite number >= 0"),
             ("experiment.draws", self.draws >= 1, "must be >= 1"),
             ("experiment.slack", self.slack >= 1.0, "must be >= 1"),
             ("test.lambda", 0.0 < self.lam < 1.0, "must lie in (0, 1)"),
@@ -156,6 +166,8 @@ class ExperimentConfig:
                 out["signal.magnitude"] = repr(self.signal_magnitude)
             if self.sweep_magnitudes:
                 out["sweep.magnitudes"] = ",".join(repr(v) for v in self.sweep_magnitudes)
+        if self.kind == "mx_curve":
+            out["mx.x"] = ",".join(repr(float(v)) for v in self.x_grid)
         if self.kind == "adaptive":
             out["c_u"] = repr(self.c_u)
             out["zeta"] = repr(self.zeta)
@@ -222,13 +234,6 @@ def load_config(path: str) -> ExperimentConfig:
         except ValueError:
             raise ConfigError("sweep.magnitudes", "not a number list") from None
 
-    c1: float | str = str(signal.get("c1", "auto")).strip()
-    if c1 != "auto":
-        try:
-            c1 = float(c1)
-        except ValueError:
-            raise ConfigError("signal.c1", f"expected 'auto' or a number, got {c1!r}") from None
-
     magnitude = None
     if "magnitude" in signal:
         magnitude = _parse(signal, "signal", "magnitude")
@@ -249,7 +254,7 @@ def load_config(path: str) -> ExperimentConfig:
         signal_rule=str(signal.get("rule", "rho_n")).strip(),
         signal_magnitude=magnitude,
         v_n=_parse(signal, "signal", "v_n", 3.0),
-        c1=c1,
+        c1=str(signal.get("c1", "auto")).strip(),
         x_grid=x_grid,
         sweep_magnitudes=magnitudes,
         c_u=_parse(exp, "experiment", "c_u", 2.0),

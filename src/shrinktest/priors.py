@@ -366,10 +366,7 @@ def check_condition1_lower(
         raise ValueError("prior does not declare lower-bound constants b' and K")
     grid = grid or ConditionGrid()
     u = grid.u_points(prior.lower_onset)
-    log_pi = prior.log_density_at(u)
-    if not np.all(np.isfinite(log_pi)):
-        bad = float(u[~np.isfinite(log_pi)][0])
-        raise QuadratureError(f"non-finite log-density at u={bad:g}")
+    log_pi = _checked_log_density(prior, u)
     log_rhs = prior.lower_exponent * math.log(prior.tau) - prior.lower_rate * u
     # Smallest C' making C' pi(u) >= rhs everywhere on the grid.
     log_c_needed = float(np.max(log_rhs - log_pi))

@@ -4,6 +4,7 @@ import pytest
 
 from shrinktest import cli
 from shrinktest.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+from shrinktest.shrinkage import ShrinkageCurve
 
 PRIOR = "horseshoe:tau=0.05,n=1000,p=50"
 
@@ -12,6 +13,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def compute_calls(monkeypatch):
+    """Names of the threshold searches and condition-4 studies a command runs, in order."""
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ShrinkageCurve, "decision_threshold")
+    count(cli, "verify_condition4")
+    return calls
 
 
 class TestParserReuse:
@@ -155,6 +175,14 @@ class TestRiskMinimax:
         rsup = float(row[header.index("rsup")])
         assert 0.0 <= rsup <= 2.0
 
+    def test_one_threshold_search(self, capsys, compute_calls):
+        code, _, _ = run_cli(
+            capsys, "risk-minimax", "--prior", "horseshoe:tau=0.02,n=2000,p=40",
+            "--c1", "0", "--replicates", "2",
+        )
+        assert code == EXIT_OK
+        assert compute_calls == ["decision_threshold"]
+
     def test_calibration_failure_exit(self, capsys):
         # The weight crosses 1/2 near x = 30, past the calibration grid's
         # top at the search cap (about 21.6 for n/p = 10/3).
@@ -177,6 +205,20 @@ class TestAdaptive:
         assert "condition4" in record and "risk" in record
         assert record["condition4"]["replicates"] == 100
         assert record["risk"]["bound"] > 0
+
+
+class TestRiskFlagsCheckedAsConfig:
+    @pytest.mark.parametrize("argv, field", [
+        (["risk-minimax", "--prior", PRIOR, "--lambda", "1.5"], "test.lambda"),
+        (["risk-minimax", "--prior", PRIOR, "--magnitude", "nan"], "signal.magnitude"),
+        (["adaptive", "--n", "1000", "--p", "50", "--zeta", "-1"], "experiment.zeta"),
+    ])
+    def test_bad_flag_exits_before_any_compute(self, capsys, compute_calls, argv, field):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert field in err
+        assert out == ""
+        assert compute_calls == []
 
 
 class TestSimulate:
@@ -244,6 +286,9 @@ class TestConfigValidatedAtLoad:
         ("sweep.magnitudes", "3.0,0"),
         ("sweep.magnitudes", "3.0,inf"),
         ("sweep.magnitudes", "nan"),
+        ("signal.magnitude", "nan"),
+        ("signal.magnitude", "0"),
+        ("signal.c1", "nan"),
         ("experiment.draws", "0"),
         ("experiment.slack", "0.5"),
         ("test.lambda", "1.5"),

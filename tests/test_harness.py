@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,16 @@ class TestLoadConfig:
         assert "# c_u = 3.5" in echo
         assert "# zeta = 0.25" in echo
         assert not [l for l in echo if l.startswith("# adaptive.")]
+        # The mx_curve grid is echoed as mx.x, by repr, and reads back exactly,
+        # also when it holds numpy floats.
+        text = ("[experiment]\nkind = mx_curve\nseed = 0\n\n[prior]\nfamily = horseshoe\n"
+                "tau = 0.05\nn = 1000\np = 50\n\n[mx]\nx = 0,0.1,1e-3,25\n")
+        config = load_config(write_config(tmp_path, text))
+        numpy_grid = replace(config, x_grid=tuple(map(np.float64, config.x_grid)))
+        for run in (config, numpy_grid):
+            echo = [l for l in run_experiment(run).csv_text().splitlines() if l.startswith("#")]
+            (grid,) = [l.split(" = ", 1)[1] for l in echo if l.startswith("# mx.x = ")]
+            assert tuple(float(v) for v in grid.split(",")) == config.x_grid
 
     def test_bad_prior_section(self, tmp_path):
         text = BASE_CONFIG.replace("family = horseshoe", "family = unknown")
