@@ -36,7 +36,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-_VALIDATION_ERRORS = (ConfigError, DegenerateSparsityError, ValueError, KeyError, OSError)
+_VALIDATION_ERRORS = (ConfigError, DegenerateSparsityError, ValueError, OSError)
 
 
 def _parse_x_values(text: str) -> list[float]:
@@ -46,10 +46,10 @@ def _parse_x_values(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("range form must be start:stop:step")
         start, stop, step = (float(v) for v in parts)
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
+            raise ValueError("range needs finite values, step > 0 and stop >= start")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(count, 1))]
+        return [start + i * step for i in range(count)]
     return [float(v) for v in text.split(",") if v.strip()]
 
 

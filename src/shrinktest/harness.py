@@ -4,15 +4,16 @@ Configs are flat key-value files with sections (INI style).  Every run
 is keyed by an explicit seed -- never the clock -- and replicates draw
 from counter-based substreams, so rerunning a config reproduces the
 output byte for byte, with any thread count.  The emitted CSV echoes
-the full config in comment lines to stay self-describing.
+the config in comment lines, under the keys it is read from, so the
+echo loads back as the same config.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -71,195 +72,161 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
-@dataclass(frozen=True)
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _c1(text: str) -> float | str:
+    return text if text == "auto" else float(text)
+
+
+_MODEL_KEYS = {"n": int, "p_n": float, "c_psi": float}
+
+
+def _model(section: Mapping[str, str]) -> TwoGroupModel:
+    """The two-group model of a [model] section, which holds exactly n, p_n and c_psi."""
+    for keys, problem in ((section.keys() - _MODEL_KEYS.keys(), "unknown field"),
+                          (_MODEL_KEYS.keys() - section.keys(), "missing required field")):
+        if keys:
+            raise ConfigError(f"model.{min(keys)}", problem)
+    return TwoGroupModel.from_c_psi(
+        **{key: _parse(f"model.{key}", cast, section[key]) for key, cast in _MODEL_KEYS.items()}
+    )
+
+
+# What each scalar parser reads, for the message when a text is not one.
+_READS = {int: "an integer", float: "a number", _floats: "a number list", _c1: "'auto' or a number"}
+
+
+def _parse(name: str, parse: Callable, text):
+    """A field's text (a whole section for prior and model) read by its parser."""
+    try:
+        return parse(text)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        reads = _READS.get(parse)
+        raise ConfigError(name, f"not {reads}: {text!r}" if reads else str(exc)) from None
+
+
+def _text(value) -> str:
+    """A value written so that its parser reads it back exactly."""
+    if isinstance(value, tuple):
+        return ",".join(repr(float(v)) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _field(key: str, parse: Callable = str, echo=_KINDS, rule=None, dump=None, **default):
+    """One row of the config table: a dataclass field with its key, parser, echo kinds and rule."""
+    name = key if "." in key or dump else f"experiment.{key}"
+    return field(metadata=dict(key=key, name=name, parse=parse, echo=echo, rule=rule, dump=dump),
+                 **default)
+
+
+# Single-field rules: a test of the value and what it must be, written so that nan fails.
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_IN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+_NONNEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
+_FINITE_NONZERO = (lambda v: math.isfinite(v) and v != 0.0, "must be finite and nonzero")
+_MINIMAX = ("risk_minimax",)
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    experiment_id: str
-    kind: str
-    prior: ScaleMixturePrior | None
-    model: TwoGroupModel | None
-    alpha: float
-    replicates: int
-    seed: int
-    threads: int = 1
-    out: str | None = None
-    slack: float = 1.05
-    draws: int = 10000
-    lam: float = 0.5
-    signal_rule: str = "rho_n"
-    signal_magnitude: float | None = None
-    v_n: float = 3.0
-    c1: float | str = "auto"
-    x_grid: tuple[float, ...] = ()
-    sweep_magnitudes: tuple[float, ...] = ()
-    c_u: float = 2.0
-    zeta: float = 0.0
+    """One experiment, declared as a table with one row per field.
+
+    A row gives the key the field is read from and echoed under (bare in
+    [experiment], section.key elsewhere; prior and model are whole sections),
+    the parser of its text, the kinds whose echo writes it, and the rule its
+    value must meet alone.  A field given as text is read by its parser.
+    """
+
+    experiment_id: str = _field("id", default="experiment")
+    kind: str = _field("kind", rule=(lambda v: v in _KINDS, f"must be one of {', '.join(_KINDS)}"))
+    prior: ScaleMixturePrior | None = _field("prior", prior_from_config, dump=prior_to_config,
+                                             default=None)
+    model: TwoGroupModel | None = _field(
+        "model", _model, dump=lambda m: {key: getattr(m, key) for key in _MODEL_KEYS}, default=None
+    )
+    alpha: float = _field("test.alpha", float, rule=_IN_UNIT, default=0.5)
+    replicates: int = _field("replicates", int, rule=_AT_LEAST_1, default=1)
+    seed: int = _field("seed", int)
+    threads: int = _field("threads", int, rule=_AT_LEAST_1, default=1)
+    out: str | None = _field("out", echo=(), default=None)
+    draws: int = _field("draws", int, ("risk_bayes",), _AT_LEAST_1, default=10000)
+    lam: float = _field("test.lambda", float, _MINIMAX, _IN_UNIT, default=0.5)
+    signal_rule: str = _field("signal.rule", str, _MINIMAX, (
+        lambda v: v in ("rho_n", "fixed"), "must be rho_n or fixed"), default="rho_n")
+    signal_magnitude: float | None = _field("signal.magnitude", float, _MINIMAX, _FINITE_NONZERO,
+                                            default=None)
+    v_n: float = _field("signal.v_n", float, _MINIMAX, _NONNEGATIVE, default=3.0)
+    c1: float | str = _field("signal.c1", _c1, _MINIMAX, (
+        lambda v: v == "auto" or (math.isfinite(v) and v >= 0.0),
+        "must be 'auto' or a finite number >= 0"), default="auto")
+    x_grid: tuple[float, ...] = _field("mx.x", _floats, ("mx_curve",), default=())
+    sweep_magnitudes: tuple[float, ...] = _field("sweep.magnitudes", _floats, _MINIMAX, (
+        lambda v: all(map(_FINITE_NONZERO[0], v)), _FINITE_NONZERO[1]), default=())
+    c_u: float = _field("c_u", float, ("adaptive",), (lambda v: v > 0.0, "must be > 0"), default=2.0)
+    zeta: float = _field("zeta", float, ("adaptive",), _NONNEGATIVE, default=0.0)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigError("experiment.kind", f"unknown kind {self.kind!r}; expected one of {_KINDS}")
-        if self.replicates < 1:
-            raise ConfigError("experiment.replicates", "must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("experiment.threads", "must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("test.alpha", "must lie in (0, 1)")
-        if self.kind != "mx_curve" and self.prior is None:
-            raise ConfigError("prior", "section is required for this kind")
+        for row in fields(self):
+            name, parse, rule = row.metadata["name"], row.metadata["parse"], row.metadata["rule"]
+            value = getattr(self, row.name)
+            if isinstance(value, (str, dict)) and parse is not str:
+                value = _parse(name, parse, value)
+                object.__setattr__(self, row.name, value)
+            if rule and value is not None and not rule[0](value):
+                raise ConfigError(name, f"{rule[1]}, got {value!r}")
+        if self.prior is None:
+            raise ConfigError("prior", "section is required")
         if self.kind in ("risk_bayes", "adaptive") and self.model is None:
             raise ConfigError("model", "section is required for this kind")
-        if self.kind == "risk_minimax" and self.signal_rule not in ("rho_n", "fixed"):
-            raise ConfigError("signal.rule", f"unknown rule {self.signal_rule!r}")
         if self.kind == "risk_minimax" and self.signal_rule == "fixed" and self.signal_magnitude is None:
             raise ConfigError("signal.magnitude", "required when signal.rule = fixed")
-        if self.kind == "mx_curve" and (self.prior is None or not self.x_grid):
-            raise ConfigError("mx.x", "mx_curve needs a prior and an x grid")
-        if self.kind == "adaptive" and self.prior is not None and self.prior.family != "horseshoe":
+        if self.kind == "mx_curve" and not self.x_grid:
+            raise ConfigError("mx.x", "mx_curve needs an x grid")
+        if self.kind == "adaptive" and self.prior.family != "horseshoe":
             raise ConfigError("prior.family", "the adaptive pipeline plugs p_hat into the horseshoe family")
-        if self.c1 != "auto":
-            try:
-                object.__setattr__(self, "c1", float(self.c1))
-            except ValueError:
-                raise ConfigError("signal.c1", f"expected 'auto' or a number, got {self.c1!r}") from None
-        for name, ok, rule in (  # written so that nan fails too
-            ("sweep.magnitudes", all(map(math.isfinite, self.sweep_magnitudes))
-             and 0.0 not in self.sweep_magnitudes, "must be finite and nonzero"),
-            ("signal.magnitude", self.signal_magnitude is None
-             or (math.isfinite(self.signal_magnitude) and self.signal_magnitude != 0.0),
-             "must be finite and nonzero"),
-            ("signal.c1", self.c1 == "auto" or (math.isfinite(self.c1) and self.c1 >= 0.0),
-             "must be 'auto' or a finite number >= 0"),
-            ("experiment.draws", self.draws >= 1, "must be >= 1"),
-            ("experiment.slack", self.slack >= 1.0, "must be >= 1"),
-            ("test.lambda", 0.0 < self.lam < 1.0, "must lie in (0, 1)"),
-            ("signal.v_n", self.v_n >= 0.0, "must be >= 0"),
-            ("experiment.c_u", self.c_u > 0.0, "must be > 0"),
-            ("experiment.zeta", self.zeta >= 0.0, "must be >= 0"),
-        ):
-            if not ok:
-                raise ConfigError(name, rule)
 
     def meta(self) -> dict[str, str]:
-        out: dict[str, str] = {
-            "id": self.experiment_id,
-            "kind": self.kind,
-            "alpha": repr(self.alpha),
-            "replicates": str(self.replicates),
-            "seed": str(self.seed),
-            "threads": str(self.threads),
-            "slack": repr(self.slack),
-        }
-        if self.prior is not None:
-            for key, val in sorted(prior_to_config(self.prior).items()):
-                out[f"prior.{key}"] = repr(val) if isinstance(val, float) else str(val)
-        if self.model is not None:
-            out["model.n"] = str(self.model.n)
-            out["model.p_n"] = repr(self.model.p_n)
-            out["model.c_psi"] = repr(self.model.c_psi)
-        if self.kind == "risk_bayes":
-            out["draws"] = str(self.draws)
-        if self.kind == "risk_minimax":
-            out["signal.rule"] = self.signal_rule
-            out["signal.v_n"] = repr(self.v_n)
-            out["signal.c1"] = str(self.c1)
-            out["lambda"] = repr(self.lam)
-            if self.signal_magnitude is not None:
-                out["signal.magnitude"] = repr(self.signal_magnitude)
-            if self.sweep_magnitudes:
-                out["sweep.magnitudes"] = ",".join(repr(v) for v in self.sweep_magnitudes)
-        if self.kind == "mx_curve":
-            out["mx.x"] = ",".join(repr(float(v)) for v in self.x_grid)
-        if self.kind == "adaptive":
-            out["c_u"] = repr(self.c_u)
-            out["zeta"] = repr(self.zeta)
+        """The config echo: every field this kind echoes, under the key it is read from."""
+        out: dict[str, str] = {}
+        for row in fields(self):
+            key, dump, value = row.metadata["key"], row.metadata["dump"], getattr(self, row.name)
+            absent = value is None or isinstance(value, tuple) and not value
+            if self.kind in row.metadata["echo"] and not absent:
+                items = {f"{key}.{k}": v for k, v in dump(value).items()} if dump else {key: value}
+                out.update((k, _text(v)) for k, v in items.items())
         return out
 
 
-def _parse(section: Mapping[str, str], section_name: str, key: str, default=None, cast=float):
-    """section[key] as a float (or int); a missing key takes the default if one is given."""
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"{section_name}.{key}", "missing required field")
-    try:
-        return cast(section[key])
-    except ValueError:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{section_name}.{key}", f"not {kind}: {section[key]!r}") from None
-
-
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError("config", f"cannot read {path!r}")
-    if "experiment" not in parser:
-        raise ConfigError("experiment", "missing [experiment] section")
-    exp = parser["experiment"]
-    if "seed" not in exp:
-        raise ConfigError("experiment.seed", "missing required field (no clock seeding)")
-
-    prior = None
-    if "prior" in parser:
-        try:
-            prior = prior_from_config(dict(parser["prior"]))
-        except ValueError as exc:
-            raise ConfigError("prior", str(exc)) from None
-
-    model = None
-    if "model" in parser:
-        sec = parser["model"]
-        model = TwoGroupModel.from_c_psi(
-            _parse(sec, "model", "n", cast=int),
-            _parse(sec, "model", "p_n"),
-            _parse(sec, "model", "c_psi"),
-        )
-
-    test = parser["test"] if "test" in parser else {}
-    signal = parser["signal"] if "signal" in parser else {}
-    sweep = parser["sweep"] if "sweep" in parser else {}
-    mx = parser["mx"] if "mx" in parser else {}
-
-    x_grid: tuple[float, ...] = ()
-    if "x" in mx:
-        try:
-            x_grid = tuple(float(v) for v in str(mx["x"]).split(",") if v.strip())
-        except ValueError:
-            raise ConfigError("mx.x", f"not a number list: {mx['x']!r}") from None
-
-    magnitudes: tuple[float, ...] = ()
-    if "magnitudes" in sweep:
-        try:
-            magnitudes = tuple(float(v) for v in str(sweep["magnitudes"]).split(",") if v.strip())
-        except ValueError:
-            raise ConfigError("sweep.magnitudes", "not a number list") from None
-
-    magnitude = None
-    if "magnitude" in signal:
-        magnitude = _parse(signal, "signal", "magnitude")
-
-    return ExperimentConfig(
-        experiment_id=exp.get("id", "experiment"),
-        kind=exp.get("kind", ""),
-        prior=prior,
-        model=model,
-        alpha=_parse(test, "test", "alpha", 0.5),
-        replicates=_parse(exp, "experiment", "replicates", 1, cast=int),
-        seed=_parse(exp, "experiment", "seed", cast=int),
-        threads=_parse(exp, "experiment", "threads", 1, cast=int),
-        out=exp.get("out") or None,
-        slack=_parse(exp, "experiment", "slack", 1.05),
-        draws=_parse(exp, "experiment", "draws", 10000, cast=int),
-        lam=_parse(test, "test", "lambda", 0.5),
-        signal_rule=str(signal.get("rule", "rho_n")).strip(),
-        signal_magnitude=magnitude,
-        v_n=_parse(signal, "signal", "v_n", 3.0),
-        c1=str(signal.get("c1", "auto")).strip(),
-        x_grid=x_grid,
-        sweep_magnitudes=magnitudes,
-        c_u=_parse(exp, "experiment", "c_u", 2.0),
-        zeta=_parse(exp, "experiment", "zeta", 0.0),
-    )
+    """Read an experiment config file; every key in it must be a field's key."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if not parser.read(path):
+            raise ConfigError("config", f"cannot read {path!r}")
+    except configparser.Error as exc:
+        raise ConfigError("config", str(exc)) from None
+    rows = fields(ExperimentConfig)
+    whole = {row.metadata["name"] for row in rows if row.metadata["dump"]}
+    texts: dict[str, object] = {}
+    for section in parser.sections():
+        if section in whole:
+            texts[section] = dict(parser[section])
+        else:
+            texts.update((f"{section}.{key}", text) for key, text in parser[section].items())
+    values = {}
+    for row in rows:
+        name = row.metadata["name"]
+        if name in texts:
+            values[row.name] = texts.pop(name)
+        elif row.default is MISSING:
+            raise ConfigError(name, "missing required field")
+    if texts:
+        raise ConfigError(next(iter(texts)), "unknown field")
+    return ExperimentConfig(**values)
 
 
 @dataclass

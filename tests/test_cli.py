@@ -82,6 +82,13 @@ class TestMx:
         _, second, _ = run_cli(capsys, "mx", "--prior", PRIOR, "--x", "0:4:1")
         assert first == second
 
+    @pytest.mark.parametrize("x", ["0:inf:1", "0:nan:1", "5:0:1", "0:1:0"])
+    def test_bad_range_exits_before_any_output(self, capsys, x):
+        code, out, err = run_cli(capsys, "mx", "--prior", PRIOR, "--x", x)
+        assert code == EXIT_VALIDATION
+        assert "range needs" in err
+        assert out == ""
+
 
 class TestThreshold:
     def test_prints_crossing(self, capsys):
@@ -101,12 +108,13 @@ class TestThreshold:
         assert code == EXIT_VALIDATION
         assert "validation error" in err
 
-    def test_program_bug_is_not_a_numeric_failure(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("bug", [NotImplementedError, KeyError])
+    def test_program_bug_is_not_a_numeric_failure(self, capsys, monkeypatch, bug):
         def broken(args):
-            raise NotImplementedError("unfinished command")
+            raise bug("unfinished command")
 
         monkeypatch.setitem(cli._COMMANDS, "threshold", broken)
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(bug):
             main(["threshold", "--prior", PRIOR])
 
 
@@ -252,6 +260,15 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "experiment.kind" in err
 
+    @pytest.mark.parametrize("text", ["seed = 0\n", "[experiment]\nseed = 0\nseed = 1\n"],
+                             ids=["no-section-header", "duplicate-key"])
+    def test_malformed_file_exits_2(self, capsys, tmp_path, text):
+        config = tmp_path / "exp.ini"
+        config.write_text(text)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == EXIT_VALIDATION
+        assert "config: " in err
+
 
 _VALID_SIMULATE = {
     "experiment": {"id": "t", "kind": "risk_minimax", "replicates": "2", "seed": "0"},
@@ -265,7 +282,7 @@ _VALID_SIMULATE = {
 def _simulate_config(tmp_path, section=None, key=None, value=None):
     sections = {name: dict(fields) for name, fields in _VALID_SIMULATE.items()}
     if section is not None:
-        sections[section][key] = value
+        sections.setdefault(section, {})[key] = value
     path = tmp_path / "exp.ini"
     path.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()) + "\n"
@@ -282,6 +299,12 @@ class TestConfigValidatedAtLoad:
         assert code == EXIT_OK
         assert out.exists()
 
+    def test_percent_is_read_literally(self, capsys, tmp_path):
+        config = _simulate_config(tmp_path, "experiment", "id", "run-5%(x)s")
+        code, out, _ = run_cli(capsys, "simulate", "--config", config)
+        assert code == EXIT_OK
+        assert "# id = run-5%(x)s\n" in out
+
     @pytest.mark.parametrize("field, value", [
         ("sweep.magnitudes", "3.0,0"),
         ("sweep.magnitudes", "3.0,inf"),
@@ -290,7 +313,10 @@ class TestConfigValidatedAtLoad:
         ("signal.magnitude", "0"),
         ("signal.c1", "nan"),
         ("experiment.draws", "0"),
-        ("experiment.slack", "0.5"),
+        ("experiment.slack", "0.5"),  # no such field
+        ("experiment.replicate", "100"),
+        ("tset.alpha", "0.25"),
+        ("model.foo", "1"),
         ("test.lambda", "1.5"),
         ("test.lambda", "0"),
         ("signal.v_n", "-1"),

@@ -8,7 +8,8 @@ byte.  The files pin what a refactor must not move: every float is
 written by `repr`, so a change in the last bit of a bound, a risk, a
 threshold or a Monte Carlo mean shows up here.  `simulate` runs each
 config at threads 1 and 4 against one file, with the `# threads =` echo
-line normalised.
+line normalised, and once more from an INI rebuilt from the file's own
+echo lines, which must give the file back.
 
 The files were written by this module's own cases with Python 3.11,
 numpy 2.4 and scipy 1.17.  Regenerate them, after a deliberate change of
@@ -213,6 +214,20 @@ def _golden(name: str) -> bytes:
     return (GOLDEN_DIR / name).read_bytes()
 
 
+def echo_ini(csv_text: str) -> str:
+    """An INI file holding the config echo ("# key = value" lines) of a CSV.
+
+    A bare key goes to [experiment]; `section.key` goes to [section].
+    """
+    sections: dict[str, list[str]] = {}
+    for line in csv_text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" = ")
+            section, _, name = key.rpartition(".")
+            sections.setdefault(section or "experiment", []).append(f"{name} = {value}\n")
+    return "".join(f"[{name}]\n" + "".join(body) + "\n" for name, body in sections.items())
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output_bytes(name, tmp_path):
     assert CLI_CASES[name](tmp_path) == _golden(name)
@@ -226,6 +241,16 @@ def test_threshold_bytes():
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_simulate_output_bytes(kind, threads, tmp_path):
     assert _simulate(tmp_path, kind, threads) == _golden(f"simulate_{kind}.csv")
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_simulate_echo_reruns_to_same_bytes(kind, tmp_path):
+    golden = _golden(f"simulate_{kind}.csv")
+    config = tmp_path / "echo.ini"
+    config.write_text(echo_ini(golden.decode("utf-8").replace("# threads = _", "# threads = 2")),
+                      encoding="utf-8")
+    raw = _cli(tmp_path, "echo.csv", "simulate", "--config", str(config))
+    assert raw.replace(b"# threads = 2\n", b"# threads = _\n") == golden
 
 
 def _regenerate() -> None:

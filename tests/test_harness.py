@@ -12,7 +12,9 @@ from hypothesis import strategies as hst
 from shrinktest import (
     ConfigError,
     ExperimentConfig,
+    TwoGroupModel,
     emit_plot_script,
+    exponential_prior,
     horseshoe_prior,
     load_config,
     run_experiment,
@@ -22,6 +24,7 @@ from shrinktest.harness import ResultTable
 from shrinktest.priors import parse_prior_spec
 from shrinktest.rng import map_replicates, split_draws, substream
 from shrinktest.shrinkage import ShrinkageCurve
+from test_golden import echo_ini
 
 
 # A recording stand-in for matplotlib, written into a temporary directory and
@@ -108,6 +111,43 @@ def write_config(tmp_path, text):
     return str(path)
 
 
+def _unit():
+    return hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _finite(min_value=-1e12, **kwargs):
+    return hst.floats(min_value, 1e12, **kwargs)
+
+
+@hst.composite
+def _configs(draw):
+    """A valid config of any kind, with every field drawn; numbers may be numpy floats."""
+    kind = draw(hst.sampled_from(["mx_curve", "risk_bayes", "risk_minimax", "adaptive"]))
+    number = draw(hst.sampled_from([float, np.float64]))
+    n = draw(hst.integers(2, 10**7))
+    p = draw(hst.floats(0.0, n, exclude_min=True, exclude_max=True))
+    prior = horseshoe_prior(draw(_unit()), n, p)
+    if kind != "adaptive" and draw(hst.booleans()):
+        prior = exponential_prior(draw(_finite(1e-3)), n, p)
+    rule = draw(hst.sampled_from(["rho_n", "fixed"]))
+    nonzero = _finite().filter(bool)
+    magnitude = draw(nonzero if rule == "fixed" else hst.none() | nonzero)
+    return ExperimentConfig(
+        experiment_id=draw(hst.text("abc-_%;#=:.()[]019", min_size=1)),
+        kind=kind, prior=prior,
+        model=TwoGroupModel.from_c_psi(n, p, draw(_finite(1e-6))) if kind != "mx_curve" else None,
+        alpha=number(draw(_unit())), lam=number(draw(_unit())),
+        replicates=draw(hst.integers(1, 10**6)), seed=draw(hst.integers(0, 2**64 - 1)),
+        threads=draw(hst.integers(1, 64)), draws=draw(hst.integers(1, 10**9)),
+        signal_rule=rule, signal_magnitude=None if magnitude is None else number(magnitude),
+        v_n=number(draw(_finite(0.0))),
+        c1=draw(hst.just("auto") | _finite(0.0).map(number)),
+        x_grid=tuple(map(number, draw(hst.lists(_finite(), min_size=1, max_size=5)))),
+        sweep_magnitudes=tuple(map(number, draw(hst.lists(nonzero, max_size=5)))),
+        c_u=number(draw(_finite(0.0, exclude_min=True))), zeta=number(draw(_finite(0.0))),
+    )
+
+
 class TestLoadConfig:
     def test_parses_base(self, tmp_path):
         config = load_config(write_config(tmp_path, BASE_CONFIG))
@@ -139,7 +179,7 @@ class TestLoadConfig:
             load_config("/nonexistent/exp.ini")
 
     def test_experiment_keys_echoed_as_read(self, tmp_path):
-        # c_u and zeta are read from [experiment], like slack and draws.
+        # c_u and zeta are read from [experiment], like draws.
         text = BASE_CONFIG.replace("kind = risk_bayes", "kind = adaptive")
         text = text.replace("draws = 500\n", "c_u = 3.5\nzeta = 0.25\n")
         config = load_config(write_config(tmp_path, text))
@@ -157,6 +197,15 @@ class TestLoadConfig:
             echo = [l for l in run_experiment(run).csv_text().splitlines() if l.startswith("#")]
             (grid,) = [l.split(" = ", 1)[1] for l in echo if l.startswith("# mx.x = ")]
             assert tuple(float(v) for v in grid.split(",")) == config.x_grid
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_configs())
+    def test_echo_loads_back(self, tmp_path_factory, config):
+        # config -> CSV echo -> INI -> load_config -> echo is the identity.
+        table = ResultTable(["x"], meta=config.meta())
+        path = tmp_path_factory.mktemp("echo") / "exp.ini"
+        path.write_text(echo_ini(table.csv_text()), encoding="utf-8")
+        assert load_config(str(path)).meta() == config.meta()
 
     def test_bad_prior_section(self, tmp_path):
         text = BASE_CONFIG.replace("family = horseshoe", "family = unknown")
