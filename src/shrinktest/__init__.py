@@ -13,11 +13,8 @@ from .adaptive import (
     AdaptiveDecision,
     Condition4Report,
     SparsityEstimate,
-    adaptive_bayes_risk_bound,
     adaptive_bayes_risk_mc,
-    adaptive_minimax_risk_bound,
     adaptive_risk_replicates,
-    adaptive_separation_rate,
     adaptive_threshold_test,
     horseshoe_family,
     simple_count_estimator,
@@ -50,7 +47,6 @@ from .priors import (
     parse_prior_spec,
     prior_from_config,
     prior_to_config,
-    validate_density,
 )
 from .quadrature import NumericError, QuadratureError
 from .risk import (

@@ -20,13 +20,7 @@ import numpy as np
 
 from .priors import ScaleMixturePrior, horseshoe_prior
 from .rng import STREAM_ESTIMATOR, STREAM_TWO_GROUP, map_replicates, substream
-from .risk import (
-    RiskReport,
-    bayes_risk_bound,
-    minimax_risk_bound,
-    separation_rate,
-    standard_error,
-)
+from .risk import RiskReport, standard_error
 from .shrinkage import ShrinkageCurve
 from .testing import DecisionVector, TwoGroupModel, threshold_test
 
@@ -40,9 +34,6 @@ __all__ = [
     "verify_condition4",
     "adaptive_risk_replicates",
     "adaptive_bayes_risk_mc",
-    "adaptive_bayes_risk_bound",
-    "adaptive_minimax_risk_bound",
-    "adaptive_separation_rate",
 ]
 
 Estimator = Callable[[np.ndarray], "SparsityEstimate"]
@@ -295,26 +286,3 @@ def adaptive_bayes_risk_mc(
         mc_standard_errors={"bayes_risk": standard_error(losses)},
         n_replicates=replicates,
     )
-
-
-def adaptive_bayes_risk_bound(
-    prior: ScaleMixturePrior, model: TwoGroupModel, alpha: float,
-    cond3_constant: float, cond2_constant: float, c_u: float, zeta: float = 0.0,
-) -> float:
-    """bayes_risk_bound with the window constants C^u and zeta."""
-    return bayes_risk_bound(prior, model, alpha, cond3_constant, cond2_constant, c_u, zeta)
-
-
-def adaptive_minimax_risk_bound(
-    lam: float, alpha: float, cond3_constant: float, cond2_constant: float, c_u: float, v_n: float,
-) -> float:
-    """minimax_risk_bound with the window constant C^u."""
-    return minimax_risk_bound(lam, alpha, cond3_constant, cond2_constant, v_n, c_u)
-
-
-def adaptive_separation_rate(
-    prior: ScaleMixturePrior, gamma_n: float = 1.0, c1: float = 0.0, v_n: float = 0.0,
-) -> float:
-    """separation_rate on log(n/gamma_n).  The counting estimator never
-    drops below 1, so gamma_n = 1 is the defensible default."""
-    return separation_rate(prior, gamma_n, c1, v_n)

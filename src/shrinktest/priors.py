@@ -17,21 +17,13 @@ proof; every certificate records the grid it used.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import gammaln
 
-from .quadrature import (
-    DEFAULT_REL_TOL,
-    QuadratureError,
-    integrate_finite,
-    integrate_half_line,
-    integrate_log,
-    integrate_tail,
-)
+from .quadrature import DEFAULT_REL_TOL, QuadratureError, integrate_log_panels
 
 __all__ = [
     "ScaleMixturePrior",
@@ -48,19 +40,15 @@ __all__ = [
     "certified_constants",
     "certify_prior",
     "normalization",
-    "validate_density",
     "mass_below",
     "prior_to_config",
     "prior_from_config",
     "parse_prior_spec",
 ]
 
-_NORMALIZATION_TOL = 1e-8
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
 
 class DegenerateSparsityError(ValueError):
-    """Raised when p >= n/e puts the sparsity pair outside the sparse regime."""
+    """Raised when log(n/p) <= 1 puts the sparsity pair outside the sparse regime."""
 
 
 @dataclass(frozen=True)
@@ -392,37 +380,42 @@ def check_condition1_lower(
     )
 
 
-def mass_below(prior: ScaleMixturePrior, cutoff: float = 1.0, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Prior mass of (0, cutoff), integrated in t = log u.
+def _moment(
+    prior: ScaleMixturePrior, power: float, lo: float, hi: float, rel_tol: float = DEFAULT_REL_TOL
+) -> tuple[float, float]:
+    """Integral of u^power pi(u) over (e^lo, e^hi), and its error estimate.
 
-    pi(u) u is a bump of width O(1) in t around every scale where pi has
-    mass, so the log scale resolves mass at any u (the horseshoe puts
-    most of it near tau^2) where a grid in u or sqrt(u) may step over it.
+    The integral is taken in t = log u, where the integrand is
+    pi(e^t) e^{(power + 1) t}: a bump of width O(1) around every scale
+    where pi has mass, so the fixed panels resolve mass at any u (the
+    horseshoe puts most of it near tau^2) where a grid in u may step
+    over it.
     """
 
-    def integrand(t: float) -> float:
-        u = math.exp(t)
-        if u == 0.0:
-            return 0.0
-        # log-space product keeps u^{-1/2} spikes from overflowing mid-way;
-        # scalar math keeps the ~800 calls per integral cheap.
-        log_val = float(prior.log_density(u)) + t
-        if not log_val < _LOG_FLOAT_MAX:  # also catches nan
-            raise QuadratureError(f"non-finite integrand at u={u:g}")
-        return math.exp(log_val)
+    def log_integrand(t: np.ndarray) -> np.ndarray:
+        return prior.log_density_at(np.exp(t)) + (power + 1.0) * t
 
-    return integrate_log(integrand, math.log(cutoff), rel_tol)
+    return integrate_log_panels(log_integrand, lo, hi, rel_tol)
+
+
+def mass_below(prior: ScaleMixturePrior, cutoff: float = 1.0, rel_tol: float = DEFAULT_REL_TOL) -> float:
+    """Prior mass of (0, cutoff), integrated in t = log u."""
+    return _moment(prior, 0.0, -math.inf, math.log(cutoff), rel_tol)[0]
 
 
 def check_condition2(prior: ScaleMixturePrior) -> ConditionCertificate:
-    """Certify the near-zero mass constant c = integral of pi over (0, 1)."""
-    c = mass_below(prior, 1.0)
+    """Certify the near-zero mass constant c = integral of pi over (0, 1).
+
+    The grid records the tolerance and the panel rule's relative error estimate.
+    """
+    c, error = _moment(prior, 0.0, -math.inf, 0.0)
+    rel_error = error / c if c > 0.0 else 0.0
     return ConditionCertificate(
         condition_id="C2",
         satisfied=c > 0.0,
         estimated_constant=c,
         witness=None if c > 0.0 else "no prior mass below 1",
-        grid={"cutoff": 1.0},
+        grid={"cutoff": 1.0, "rel_tol": DEFAULT_REL_TOL, "rel_error": rel_error},
     )
 
 
@@ -434,31 +427,31 @@ def check_condition3(
     Evaluates (I1 + I2) / s_n where I1 integrates min(u, nu^3/sqrt(u))
     above s_n and I2 weights the window [1, nu^2] by nu/sqrt(u).  The
     certificate always reports; downstream bounds consume the constant.
+    The grid records the tolerance and the panel rule's relative error
+    estimate, summed over the three integrals.
     """
     n, p = prior.n, prior.p
-    if p >= n / math.e:
-        raise DegenerateSparsityError(
-            f"p={p} >= n/e={n / math.e:.6g}: nu <= 1 leaves no detection window"
-        )
     nu_sq = math.log(n / p)
+    if not nu_sq > 1.0:
+        raise DegenerateSparsityError(
+            f"p={p!r} gives log(n/p) = {nu_sq!r} <= 1 with n={n} "
+            f"(p must stay below n/e = {n / math.e!r}): no detection window"
+        )
     nu = math.sqrt(nu_sq)
-    s_n = (p / n) * nu_sq
-    if not s_n < 1.0:
-        raise DegenerateSparsityError(f"s_n={s_n:.6g} >= 1")
-
-    def pi(u: float) -> float:
-        return float(np.exp(prior.log_density_at(u)))
-
-    i1_inner = integrate_finite(lambda u: u * pi(u), s_n, nu_sq, rel_tol)
-    i1_tail = nu ** 3 * integrate_tail(lambda u: pi(u) / math.sqrt(u), nu_sq, rel_tol)
-    i2 = nu * integrate_finite(lambda u: pi(u) / math.sqrt(u), 1.0, nu_sq, rel_tol)
-    constant = (i1_inner + i1_tail + i2) / s_n
+    s_n = (p / n) * nu_sq  # below 1/e, the top of tau log(1/tau)
+    log_nu_sq = math.log(nu_sq)
+    i1_inner, e1_inner = _moment(prior, 1.0, math.log(s_n), log_nu_sq, rel_tol)
+    i1_tail, e1_tail = _moment(prior, -0.5, log_nu_sq, math.inf, rel_tol)
+    i2, e2 = _moment(prior, -0.5, 0.0, log_nu_sq, rel_tol)
+    constant = (i1_inner + nu ** 3 * i1_tail + nu * i2) / s_n
+    error = (e1_inner + nu ** 3 * e1_tail + nu * e2) / s_n
+    rel_error = error / constant if constant > 0.0 else 0.0
     return ConditionCertificate(
         condition_id="C3",
         satisfied=True,
         estimated_constant=constant,
         witness=None,
-        grid={"s_n": s_n, "nu_sq": nu_sq, "rel_tol": rel_tol},
+        grid={"s_n": s_n, "nu_sq": nu_sq, "rel_tol": rel_tol, "rel_error": rel_error},
     )
 
 
@@ -481,13 +474,7 @@ def certify_prior(
 
 def normalization(prior: ScaleMixturePrior, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Total prior mass on (0, inf); should be 1 for a proper density."""
-    return integrate_half_line(lambda u: float(np.exp(prior.log_density_at(u))), rel_tol)
-
-
-def validate_density(prior: ScaleMixturePrior, tol: float = _NORMALIZATION_TOL) -> None:
-    total = normalization(prior)
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"density integrates to {total!r}, not 1 within {tol:g}")
+    return _moment(prior, 0.0, -math.inf, math.inf, rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------

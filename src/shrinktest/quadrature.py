@@ -1,23 +1,29 @@
-"""Adaptive quadrature for densities on the positive half-line.
+"""Quadrature for densities on the positive half-line.
 
-Every integral over (0, inf) is mapped to the unit interval through
-z = u / (1 + u).  Each half of (0, 1) is then regularized with a
-square-root substitution (z = s^2 near 0, 1 - z = s^2 near 1) so that
+The certificates integrate in t = log u with a fixed-node rule
+(integrate_log_panels): 16-point Gauss-Legendre panels, each checked
+against the same rule on its two halves.  In t, a density's mass at any
+scale u0 -- the horseshoe's spike at u ~ tau^2 included -- is a bump of
+width O(1) at t = log u0, and rules on such bumps converge
+geometrically.
+
+The shrinkage kernel's fallback integrates over the unit interval
+instead (integrate_unit_vec).  There (0, inf) is mapped through
+z = u / (1 + u), and each half of (0, 1) is regularized with a
+square-root substitution (z = s^2 near 0, 1 - z = s^2 near 1), so that
 integrable endpoint singularities -- u^{-1/2} spikes at the origin,
 heavy polynomial tails at infinity -- are flattened before the adaptive
-rule sees them.  The same machinery serves tail integrals with a finite
-lower endpoint.  Masses below a cutoff are integrated on a log scale
-instead (integrate_log), where a spike at any scale near the origin is
-a bump of width O(1).
+rule sees them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad_vec
 
 DEFAULT_REL_TOL = 1e-9
 
@@ -27,12 +33,23 @@ _ABS_FLOOR = 1e-200
 _ERROR_SLACK = 100.0
 
 _SQRT_HALF = math.sqrt(0.5)
-# Log-scale integrals: breakpoint mesh width and spacing, in units of
-# t = log u.  A 21-point rule on a 5-wide piece samples bumps as narrow
-# as the inverse-gamma one at shape 10 (width ~ shape^{-1/2} ~ 0.3).
-_LOG_SPAN = 150.0
-_LOG_STEP = 5.0
-_TINY = 1e-300
+
+# Panel rule in t = log u: the nodes and weights of 16-point
+# Gauss-Legendre on [-1, 1], the starting panel width, and the cap on
+# the panel count that refinement may reach.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_PANEL_WIDTH = 1.0
+_MAX_PANELS = 2048
+# Panels of width 1 cover t in [-140, 60] (u from 1.6e-61 to 1.1e26, the
+# shrinkage kernel's node range).  Past that, toward an infinite end,
+# they double in width up to the cut at |t| = 700, where u is still a
+# normal float, so a tail as slow as u^{-0.1} costs 9 more panels.  The
+# integrand at the cut may carry at most _END_SHARE of the error budget
+# per unit of t, which bounds the cut-off tail for any decay faster than
+# e^{-0.001 |t|}.
+_T_LO, _T_HI, _T_CUT = -140.0, 60.0, 700.0
+_END_SHARE = 1e-3
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class NumericError(RuntimeError):
@@ -108,72 +125,69 @@ def integrate_unit_vec(
     return total
 
 
-def integrate_unit(
-    f: Callable[[float, float], float],
+def _gauss_terms(log_f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
+    """The 16 weighted Gauss-Legendre node terms of each panel between edges, one row each."""
+    half = 0.5 * np.diff(edges)
+    t = (edges[:-1] + half)[:, None] + half[:, None] * _GL_X
+    log_vals = log_f(t)
+    bad = ~(log_vals < _LOG_FLOAT_MAX)  # also catches nan
+    if bad.any():
+        raise QuadratureError(f"non-finite integrand at u={math.exp(t[bad][0]):g}")
+    return np.exp(log_vals) * (half[:, None] * _GL_W)
+
+
+def integrate_log_panels(
+    log_f: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
     rel_tol: float = DEFAULT_REL_TOL,
-    points: Sequence[float] = (),
-) -> float:
-    """Integrate a scalar f(z, 1-z) over (0, 1) with endpoint substitutions."""
-    val = integrate_unit_vec(lambda z, omz: np.array([f(z, omz)]), rel_tol, points)
-    return float(val[0])
+) -> tuple[float, float]:
+    """Integrate exp(log_f(t)) over [lo, hi] in t = log u; return (value, error).
 
+    ``log_f`` maps an array of t to the log of the integrand, elementwise.
+    The range starts as panels of width 1 on [-140, 60], doubling in
+    width beyond that toward an infinite end.  Each panel's rule
+    value is compared with the sum of the rule on its two halves, and
+    the error estimate is the total of those differences.  While it
+    exceeds ``rel_tol`` times the value, every panel whose difference is
+    at or above the mean share of the budget is halved.  The value
+    returned is the rule on the halves, its node terms summed in extended
+    precision (where numpy has it).
 
-def integrate_half_line(
-    g: Callable[[float], float],
-    rel_tol: float = DEFAULT_REL_TOL,
-    points_u: Sequence[float] = (),
-) -> float:
-    """Integrate g over (0, inf) via the z = u/(1+u) substitution."""
-
-    def f(z: float, omz: float) -> float:
-        omz = max(omz, _TINY)
-        return g(z / omz) / (omz * omz)
-
-    zpts = [u / (1.0 + u) for u in points_u]
-    return integrate_unit(f, rel_tol, zpts)
-
-
-def integrate_tail(
-    g: Callable[[float], float],
-    lower: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> float:
-    """Integrate g over (lower, inf); the shifted tail reuses the unit map."""
-    return integrate_half_line(lambda t: g(lower + t), rel_tol)
-
-
-def integrate_log(
-    f: Callable[[float], float],
-    top: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> float:
-    """Integrate f(t) over (-inf, top], where t = log u is a log scale.
-
-    A feature of a density at any scale u0 -- the horseshoe's spike at
-    u ~ tau^2 included -- is a bump of width O(1) at t = log u0.  Fixed
-    breakpoints every _LOG_STEP over the top _LOG_SPAN make the first
-    rule on each piece sample such a bump wherever it sits; the
-    remainder below is an infinite-range QUADPACK piece.
+    An infinite end is cut at |t| = 700, where the integrand must be
+    negligible (see _END_SHARE).  Raises QuadratureError when that fails,
+    when the integrand is not finite, or when the estimate is still over
+    the tolerance at _MAX_PANELS panels.
     """
-    cut = top - _LOG_SPAN
-    points = np.arange(cut + _LOG_STEP, top, _LOG_STEP)
-    body, err_body = quad(f, cut, top, epsabs=_ABS_FLOOR, epsrel=rel_tol,
-                          points=points, limit=400)
-    tail, err_tail = quad(f, -math.inf, cut, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=200)
-    total = body + tail
-    _check_error(abs(total), err_body + err_tail, rel_tol, f"log-scale integral up to t={top:g}")
-    return total
-
-
-def integrate_finite(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> float:
-    """Integrate g over a finite interval with an achieved-error check."""
-    if not a < b:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    val, err = quad(g, a, b, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=200)
-    _check_error(abs(val), err, rel_tol, f"integral over [{a:g}, {b:g}]")
-    return val
+    body_lo = _T_LO if lo == -math.inf else lo
+    body_hi = _T_HI if hi == math.inf else hi
+    if not body_lo < body_hi:
+        raise ValueError(f"empty integration interval [{lo}, {hi}]")
+    edges = np.linspace(body_lo, body_hi, math.ceil((body_hi - body_lo) / _PANEL_WIDTH) + 1)
+    doubling = np.append(2.0 ** np.arange(1, 10) - 1.0, math.inf)  # 1, 3, 7, ..., 511
+    if lo == -math.inf:
+        edges = np.concatenate([np.maximum(body_lo - doubling[::-1], -_T_CUT), edges])
+    if hi == math.inf:
+        edges = np.concatenate([edges, np.minimum(body_hi + doubling, _T_CUT)])
+    while True:
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        halves = _gauss_terms(log_f, np.sort(np.concatenate([edges, mids])))
+        fine = halves.sum(axis=1)
+        diff = np.abs(fine[0::2] + fine[1::2] - _gauss_terms(log_f, edges).sum(axis=1))
+        value, error = float(halves.sum(dtype=np.longdouble)), float(diff.sum())
+        budget = rel_tol * abs(value)
+        if error <= budget:
+            break
+        split = diff >= min(budget / len(diff), diff.max())
+        if len(edges) + np.count_nonzero(split) > _MAX_PANELS:
+            raise QuadratureError(f"log-scale integral over [{lo:g}, {hi:g}]: error {error:.3e} "
+                                  f"over {rel_tol:.1e} of {abs(value):.3e} at {len(mids)} panels",
+                                  achieved=error)
+        edges = np.sort(np.concatenate([edges, mids[split]]))
+    for end, cut in ((lo, edges[0]), (hi, edges[-1])):
+        if math.isinf(end):
+            log_at_cut = float(log_f(np.array([cut]))[0])
+            if not (log_at_cut < _LOG_FLOAT_MAX and math.exp(log_at_cut) <= _END_SHARE * budget):
+                raise QuadratureError(f"log-scale integral: the integrand at the cut t={cut:g} "
+                                      f"(log {log_at_cut:.4g}) is not negligible")
+    return value, error

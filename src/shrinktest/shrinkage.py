@@ -40,8 +40,9 @@ __all__ = [
     "large_signal_threshold",
 ]
 
-_BISECT_VALUE_TOL = 1e-10
-_BISECT_WIDTH_TOL = 1e-12
+_STEP_TOL = 1e-12
+_MAX_STEPS = 100
+_CAP_MARGIN = 20.0  # how far the search range reaches past the universal threshold
 _MONOTONE_TOL = 1e-12
 _MONOTONE_GRID = 65
 _TINY = 1e-300
@@ -209,11 +210,21 @@ class ShrinkageCurve:
         return self.weight(x) * float(x)
 
     def search_cap(self) -> float:
-        """Bisection cap tied to the universal-threshold scale sqrt(2 log(1/tau))."""
-        return math.sqrt(2.0 * math.log(1.0 / self.prior.tau)) + 20.0
+        """Search cap: the universal threshold sqrt(2 log(1/tau)) plus 20."""
+        return math.sqrt(2.0 * math.log(1.0 / self.prior.tau)) + _CAP_MARGIN
 
     def decision_threshold(self, alpha: float) -> float:
-        """The crossing x* >= 0 with m_{x*} = alpha, found by bisection.
+        """The crossing x* >= 0 with m_{x*} = alpha, found by safeguarded Newton.
+
+        The bracket is [0, cap], or [cap, 2 cap] when m_cap < alpha.
+        Newton's method on logit(m_x) = logit(alpha) starts at the
+        universal threshold (mid-bracket in the second case), with the
+        slope from the same nodes as m_x, which is bit-identical to
+        ``weight(x)``.  A step that leaves the bracket, or does not halve
+        the step before it, is replaced by bisection; where x fell back,
+        the secant through the last two points gives the slope.  The
+        search stops when a Newton step moves x by at most 1e-12, or when
+        the bracket is that narrow.
 
         The fixed-node m is a finite exponential family in s = x^2/2, so
         dm/ds is the node variance of z and m is monotone by construction.
@@ -237,16 +248,33 @@ class ShrinkageCurve:
                 raise NoCrossing(
                     f"m_x < alpha = {alpha:.6g} for all x up to {hi:.6g}"
                 )
-        while hi - lo > _BISECT_WIDTH_TOL:
-            mid = 0.5 * (lo + hi)
-            m_mid = self.weight(mid)
-            if abs(m_mid - alpha) <= _BISECT_VALUE_TOL:
-                lo = hi = mid
+        x = cap - _CAP_MARGIN if lo == 0.0 else 0.5 * (lo + hi)
+        target, last_step, prev = _logit(alpha), hi - lo, None
+        for _ in range(_MAX_STEPS):
+            xs, (lw, wz) = np.array([x]), np.empty((2, 1, len(self._log_base)))
+            m, failed = self._fixed_nodes(xs, lw, wz)
+            if failed[0]:
+                m, slope = float(self._evaluate(xs)[0]), math.nan
+            else:  # dm/dx = x Var(z) under the node weights left in lw, in two passes
+                m, dev = float(m[0]), self._z - m[0]
+                slope = x * float(lw[0] @ (dev * dev)) / float(lw[0].sum())
+            if m == alpha:
                 break
-            if m_mid > alpha:
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (x, hi) if m < alpha else (lo, x)
+            g = _logit(m) - target
+            if not slope > 0.0 and prev is not None and x != prev[0]:
+                slope = (g - prev[1]) / (x - prev[0]) * m * (1.0 - m)  # the secant
+            prev = (x, g)
+            step = g * m * (1.0 - m) / slope if slope > 0.0 else math.nan
+            x_new = x - step
+            newton = lo <= x_new <= hi and abs(step) <= 0.5 * last_step
+            if not newton:
+                x_new = 0.5 * (lo + hi)
+            x, last_step = x_new, abs(x_new - x)
+            if (newton and abs(step) <= _STEP_TOL) or hi - lo <= _STEP_TOL:
+                break
+        else:
+            raise NumericError(f"threshold search for alpha = {alpha:.6g} did not converge")
         if self.fallbacks != fallbacks:
             grid = np.linspace(0.0, cap, _MONOTONE_GRID)
             drops = np.diff(self.weights(grid))
@@ -257,7 +285,12 @@ class ShrinkageCurve:
                     f"shrinkage weight is not monotone on [0, {cap:.3g}]: "
                     f"drop of {-worst:.3e} at x={at:.6g}; x* refused"
                 )
-        return 0.5 * (lo + hi)
+        return x
+
+
+def _logit(m: float) -> float:
+    """log(m / (1 - m)), infinite at 0 and 1."""
+    return math.log(m / (1.0 - m)) if 0.0 < m < 1.0 else math.copysign(math.inf, m - 0.5)
 
 
 def large_signal_threshold(

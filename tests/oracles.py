@@ -1,13 +1,21 @@
-"""Independent brute-force oracles used to validate the adaptive paths.
+"""Independent oracles used to validate the library's fixed-node paths.
 
-Everything here sticks to fixed-grid composite rules (trapezoid on
-substituted or logarithmic grids) or extended precision, deliberately
-avoiding the library's adaptive quadrature.
+Most of these stick to fixed-grid composite rules (trapezoid on
+substituted or logarithmic grids), closed forms or extended precision.
+The adaptive QUADPACK integrators at the end (integrate_finite,
+integrate_tail, integrate_half_line, integrate_log, integrate_unit) are
+what the certificates used before the panel rule in t = log u; they
+stay here as a second, independent route to the same integrals.
 """
 
 import math
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import expit
+
+from shrinktest.quadrature import DEFAULT_REL_TOL, _check_error, integrate_unit_vec
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -59,6 +67,40 @@ class TrapezoidShrinkageOracle:
         return 0.5 * (lo + hi)
 
 
+class ReferenceCurve:
+    """m_x by a uniform trapezoid in t = log u over [-140, 60], step 0.01.
+
+    Five times finer than the library's kernel, and with none of its
+    checks or fallbacks: with z = u/(1+u) and the factor e^{x^2/2}
+    cancelled, m_x = sum(w z) / sum(w) where
+    w = pi(u) u (1+u)^{-1/2} exp(-(x^2/2)(1-z)).  Unlike the square-root
+    z grid of TrapezoidShrinkageOracle it resolves the horseshoe spike at
+    u ~ tau^2 for tau down to 1e-8.
+    """
+
+    def __init__(self, prior, step: float = 0.01):
+        t = np.arange(-140.0, 60.0 + step / 2, step)
+        self.z, self.omz = expit(t), expit(-t)
+        self.base = prior.log_density_at(np.exp(t)) + t + 0.5 * np.log(self.omz)
+
+    def weight(self, x: float) -> float:
+        lw = self.base - 0.5 * x * x * self.omz
+        w = np.exp(lw - lw.max())
+        return float((w @ self.z) / w.sum())
+
+    def bisect_threshold(self, alpha: float, lo: float = 0.0, hi: float = 100.0) -> float:
+        """x* with m_{x*} = alpha, by 60 plain bisection steps."""
+        if not self.weight(lo) < alpha <= self.weight(hi):
+            raise ValueError("oracle bisection bracket does not straddle alpha")
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if self.weight(mid) > alpha:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+
 def trapezoid_mass_below(prior, cutoff: float = 1.0, nodes: int = 10**6) -> float:
     """Integral of pi over (0, cutoff) via u = t^2 on a uniform t grid."""
     t = np.linspace(0.0, math.sqrt(cutoff), nodes)
@@ -101,7 +143,7 @@ def trapezoid_normalization(prior, nodes: int = 10**6) -> float:
     return total
 
 
-def _mp_weight(density, x: float, dps: int) -> float:
+def _mp_weight(density, x: float, dps: int, spike=None) -> float:
     from mpmath import mp, mpf, quad as mp_quad
 
     with mp.workdps(dps):
@@ -111,6 +153,8 @@ def _mp_weight(density, x: float, dps: int) -> float:
             return mp.e ** (xv * xv / 2 * u / (1 + u))
 
         pieces = [0, 1, 100, 10**4, mp.inf]
+        if spike is not None and spike < 1:
+            pieces.insert(1, spike)
         num = mp_quad(lambda u: u * (1 + u) ** mpf("-1.5") * boost(u) * density(u), pieces)
         den = mp_quad(lambda u: (1 + u) ** mpf("-0.5") * boost(u) * density(u), pieces)
         return float(num / den)
@@ -121,7 +165,8 @@ def mp_shrinkage_weight(tau: float, x: float, dps: int = 40) -> float:
     from mpmath import mp, mpf
 
     t = mpf(repr(tau))
-    return _mp_weight(lambda u: t / (mp.pi * mp.sqrt(u) * (t * t + u)), x, dps)
+    # A breakpoint at tau^2, the scale of the spike, unless it is above 1.
+    return _mp_weight(lambda u: t / (mp.pi * mp.sqrt(u) * (t * t + u)), x, dps, spike=t * t)
 
 
 def mp_shrinkage_weight_exponential(rate: float, x: float, dps: int = 40) -> float:
@@ -130,6 +175,71 @@ def mp_shrinkage_weight_exponential(rate: float, x: float, dps: int = 40) -> flo
 
     r = mpf(repr(rate))
     return _mp_weight(lambda u: r * mp.e ** (-r * u), x, dps)
+
+
+def _mp_moment(prior, power: float, a, b):
+    """Closed form of the integral of u^power pi(u) over (a, b) at mpmath precision.
+
+    ``power`` is 0, 1 or -1/2, the moments the certificates take; ``a``
+    and ``b`` are mpf values, and b may be mp.inf.
+    """
+    from mpmath import mp, mpf
+
+    params = {k: mpf(repr(v)) for k, v in prior.params}
+    if prior.family == "horseshoe":
+        # With u = v^2 each moment is elementary in v = sqrt(u).
+        tau = params["tau"]
+        if power == 0:
+            def prim(u):
+                return 2 / mp.pi * mp.atan(mp.sqrt(u) / tau)
+        elif power == 1:
+            def prim(u):
+                v = mp.sqrt(u)
+                return 2 * tau / mp.pi * (v - tau * mp.atan(v / tau))
+        else:
+            def prim(u):
+                # log(u / (tau^2 + u)) / (pi tau), which tends to 0 as u grows
+                return -mp.log1p(tau * tau / u) / (mp.pi * tau)
+        if b != mp.inf:
+            return prim(b) - prim(a)
+        if power == 1:
+            raise ValueError("the first moment of the horseshoe is infinite")
+        return (1 if power == 0 else 0) - prim(a)
+    if prior.family == "exponential":
+        # rate e^{-rate u} u^power: an incomplete gamma in rate u.
+        rate = params["rate"]
+        k = mpf(power) + 1
+        return mp.gammainc(k, rate * a, rate * b) / rate ** (k - 1)
+    if prior.family == "inverse_gamma":
+        # y = scale / u turns u^power pi(u) into an incomplete gamma in y.
+        shape, scale = params["shape"], params["scale"]
+        s = shape - mpf(power)
+        lo_y = scale / b if b != mp.inf else mpf(0)
+        hi_y = scale / a if a != 0 else mp.inf
+        return scale ** mpf(power) * mp.gammainc(s, lo_y, hi_y) / mp.gamma(shape)
+    raise ValueError(f"no closed form for family {prior.family!r}")
+
+
+def mp_certificate_constants(prior, dps: int = 30) -> tuple[float, float, float]:
+    """(C2, C3, total mass) of a built-in prior from closed forms in mpmath.
+
+    C3 is (I1 + I2) / s_n exactly as check_condition3 defines it.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(dps):
+        n, p = mpf(prior.n), mpf(repr(prior.p))
+        nu_sq = mp.log(n / p)
+        nu = mp.sqrt(nu_sq)
+        s_n = p / n * nu_sq
+        c2 = _mp_moment(prior, 0, mpf(0), mpf(1))
+        c3 = (
+            _mp_moment(prior, 1, s_n, nu_sq)
+            + nu**3 * _mp_moment(prior, -0.5, nu_sq, mp.inf)
+            + nu * _mp_moment(prior, -0.5, mpf(1), nu_sq)
+        ) / s_n
+        total = _mp_moment(prior, 0, mpf(0), mp.inf)
+        return float(c2), float(c3), float(total)
 
 
 def step_up_reference(pvals, q: float):
@@ -159,3 +269,83 @@ def posterior_odds_root(n: int, p_n: float, psi_sq: float) -> float:
         return math.log(prior_odds) + log_lr
 
     return float(brentq(log_odds, 0.0, 100.0, xtol=1e-14, rtol=8.9e-16))
+
+
+# ---------------------------------------------------------------------------
+# Adaptive QUADPACK integrators: the certificates' former path
+# ---------------------------------------------------------------------------
+
+_TINY = 1e-300
+# Absolute floor so purely-relative targets cannot stall on zero integrals.
+_ABS_FLOOR = 1e-200
+# integrate_log: breakpoint mesh width and spacing, in units of t = log u.
+_LOG_SPAN = 150.0
+_LOG_STEP = 5.0
+
+
+def integrate_unit(
+    f: Callable[[float, float], float],
+    rel_tol: float = DEFAULT_REL_TOL,
+    points: Sequence[float] = (),
+) -> float:
+    """Integrate a scalar f(z, 1-z) over (0, 1) with endpoint substitutions."""
+    val = integrate_unit_vec(lambda z, omz: np.array([f(z, omz)]), rel_tol, points)
+    return float(val[0])
+
+
+def integrate_half_line(
+    g: Callable[[float], float],
+    rel_tol: float = DEFAULT_REL_TOL,
+    points_u: Sequence[float] = (),
+) -> float:
+    """Integrate g over (0, inf) via the z = u/(1+u) substitution."""
+
+    def f(z: float, omz: float) -> float:
+        omz = max(omz, _TINY)
+        return g(z / omz) / (omz * omz)
+
+    zpts = [u / (1.0 + u) for u in points_u]
+    return integrate_unit(f, rel_tol, zpts)
+
+
+def integrate_tail(
+    g: Callable[[float], float],
+    lower: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> float:
+    """Integrate g over (lower, inf); the shifted tail reuses the unit map."""
+    return integrate_half_line(lambda t: g(lower + t), rel_tol)
+
+
+def integrate_log(
+    f: Callable[[float], float],
+    top: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> float:
+    """Integrate f(t) over (-inf, top], where t = log u, by QUADPACK.
+
+    Breakpoints every _LOG_STEP over the top _LOG_SPAN; the remainder
+    below is an infinite-range piece.
+    """
+    cut = top - _LOG_SPAN
+    points = np.arange(cut + _LOG_STEP, top, _LOG_STEP)
+    body, err_body = quad(f, cut, top, epsabs=_ABS_FLOOR, epsrel=rel_tol,
+                          points=points, limit=400)
+    tail, err_tail = quad(f, -math.inf, cut, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=200)
+    total = body + tail
+    _check_error(abs(total), err_body + err_tail, rel_tol, f"log-scale integral up to t={top:g}")
+    return total
+
+
+def integrate_finite(
+    g: Callable[[float], float],
+    a: float,
+    b: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> float:
+    """Integrate g over a finite interval with an achieved-error check."""
+    if not a < b:
+        raise ValueError(f"empty integration interval [{a}, {b}]")
+    val, err = quad(g, a, b, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=200)
+    _check_error(abs(val), err, rel_tol, f"integral over [{a:g}, {b:g}]")
+    return val

@@ -11,7 +11,6 @@ from shrinktest import (
     ExperimentConfig,
     ShrinkageCurve,
     TwoGroupModel,
-    adaptive_bayes_risk_bound,
     adaptive_bayes_risk_mc,
     bayes_risk_analytic,
     bayes_risk_bound,
@@ -175,7 +174,7 @@ def test_criterion_6_adaptive_pipeline(desk):
     risk = adaptive_bayes_risk_mc(
         horseshoe_family, model, 0.5, replicates=200, seed=SEED, threads=8
     )
-    bound = adaptive_bayes_risk_bound(prior, model, 0.5, big_c, c, c_u=2.0, zeta=0.0)
+    bound = bayes_risk_bound(prior, model, 0.5, big_c, c, c_u=2.0, zeta=0.0)
     elapsed = time.monotonic() - start
     ok = cond4.passed and risk.bayes_risk <= bound * SLACK and elapsed <= 300.0
     report(

@@ -10,11 +10,8 @@ from shrinktest import (
     ShrinkageCurve,
     SparsityEstimate,
     TwoGroupModel,
-    adaptive_bayes_risk_bound,
     adaptive_bayes_risk_mc,
-    adaptive_minimax_risk_bound,
     adaptive_risk_replicates,
-    adaptive_separation_rate,
     adaptive_threshold_test,
     bayes_risk_bound,
     horseshoe_family,
@@ -129,47 +126,43 @@ class TestAdaptiveThresholdTest:
 
 
 class TestAdaptiveBounds:
+    """The adaptive guarantees: the risk evaluators with the window constants."""
+
     def test_reduces_to_non_adaptive(self, model):
         prior = horseshoe_prior(0.01, 10**4, 100)
-        adaptive = adaptive_bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=1.0, zeta=0.0)
         plain = bayes_risk_bound(prior, model, 0.5, 0.25, 0.5)
-        assert adaptive == pytest.approx(plain)
         # The window constants at their neutral values leave every bit in place.
         assert bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=1.0, zeta=0.0) == plain
-        assert adaptive == plain
 
     def test_window_inflation(self, model):
         prior = horseshoe_prior(0.01, 10**4, 100)
-        inflated = adaptive_bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=2.0, zeta=0.5)
+        inflated = bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=2.0, zeta=0.5)
         plain = bayes_risk_bound(prior, model, 0.5, 0.25, 0.5)
         assert inflated > plain
         for c_u, zeta in ((0.0, 0.0), (1.0, -0.5)):
             with pytest.raises(ValueError, match="zeta"):
-                adaptive_bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=c_u, zeta=zeta)
+                bayes_risk_bound(prior, model, 0.5, 0.25, 0.5, c_u=c_u, zeta=zeta)
         with pytest.raises(ValueError, match="C\\^u"):
-            adaptive_minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, c_u=0.0, v_n=3.0)
+            minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, 3.0, c_u=0.0)
 
     def test_minimax_reduces_to_non_adaptive(self):
-        adaptive = adaptive_minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, c_u=1.0, v_n=3.0)
         plain = minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, 3.0)
-        assert adaptive == pytest.approx(plain)
         assert minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, 3.0, c_u=1.0) == plain
-        assert adaptive == plain
 
     def test_separation_rate_floor(self):
         prior = horseshoe_prior(0.01, 10**4, 100)
         # gamma_n = p_n recovers the non-adaptive rate ...
-        assert adaptive_separation_rate(prior, 100.0, v_n=3.0) == pytest.approx(
+        assert separation_rate(prior, 100.0, v_n=3.0) == pytest.approx(
             separation_rate(prior, v_n=3.0)
         )
         # ... and gamma_n = 1 stretches the log to the full sample size.
         expected = math.sqrt(4.0 * math.log(10**4)) + 3.0
-        assert adaptive_separation_rate(prior, 1.0, v_n=3.0) == pytest.approx(expected)
+        assert separation_rate(prior, 1.0, v_n=3.0) == pytest.approx(expected)
 
     def test_gamma_range(self):
         prior = horseshoe_prior(0.01, 10**4, 100)
         with pytest.raises(ValueError):
-            adaptive_separation_rate(prior, 0.0)
+            separation_rate(prior, 0.0)
 
 
 class TestAdaptiveRiskMc:

@@ -148,6 +148,15 @@ class TestCheckPrior:
         assert records[2]["constant"] == pytest.approx(0.6321205588, abs=1e-9)
         assert all("grid" in r for r in records)
 
+    def test_p_at_n_over_e_is_a_validation_error(self, capsys):
+        # p = nextafter(n/e, 0): p < n/e, yet log(n/p) rounds to exactly 1.
+        code, out, err = run_cli(
+            capsys, "check-prior", "--prior", "horseshoe:tau=0.1,n=10000,p=3678.794411714423"
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "p=3678.794411714423" in err
+
 
 class TestRiskBayes:
     def test_analytic_and_mc_rows(self, capsys):

@@ -160,6 +160,10 @@ CLI_CASES = {
     "check_prior_horseshoe.json": lambda d: _cli(
         d, "check_prior_horseshoe.json", "check-prior", "--prior", PRIOR,
     ),
+    "check_prior_horseshoe_tiny_tau.json": lambda d: _cli(
+        d, "check_prior_horseshoe_tiny_tau.json", "check-prior",
+        "--prior", "horseshoe:tau=1e-08,n=100000000,p=1",
+    ),
     "risk_bayes.csv": lambda d: _cli(
         d, "risk_bayes.csv", "risk-bayes", "--prior", PRIOR,
         "--n", "10000", "--p", "100", "--c-psi", "1",

@@ -249,6 +249,12 @@ class TestConditionThree:
         with pytest.raises(DegenerateSparsityError):
             check_condition3(horseshoe_prior(0.5, 100, 50))
 
+    def test_n_over_e_edge_names_p(self):
+        # Just below n/e, log(n/p) still rounds to exactly 1.0.
+        p = math.nextafter(10**4 / math.e, 0.0)
+        with pytest.raises(DegenerateSparsityError, match=f"p={p!r}"):
+            check_condition3(horseshoe_prior(0.1, 10**4, p))
+
     def test_constant_stable_under_finer_oracle(self):
         prior = horseshoe_prior(0.01, 10**4, 100)
         constant = check_condition3(prior).estimated_constant
@@ -256,6 +262,58 @@ class TestConditionThree:
         fine = oracles.condition3_constant(prior, nodes=10**6)
         assert abs(constant - fine) / fine <= 1e-4
         assert abs(coarse - fine) / fine <= 1e-4
+
+
+# The horseshoe at tau = p/n from 1e-1 to 1e-8, and two priors of each
+# other family at n = 1e4, p = 100.
+MPMATH_PRIORS = [
+    horseshoe_prior(1e-1, 10**3, 100),
+    horseshoe_prior(1e-2, 10**4, 100),
+    horseshoe_prior(1e-6, 10**8, 100),
+    horseshoe_prior(1e-8, 10**8, 1),
+    exponential_prior(1.0, 10**4, 100),
+    exponential_prior(100.0, 10**4, 100),
+    inverse_gamma_prior(2.0, 1.0, 10**4, 100),
+    inverse_gamma_prior(10.0, 1.0, 10**4, 100),
+]
+
+
+class TestCertificatesAgainstMpmath:
+    """C2, C3 and the total mass against closed forms at 30 digits."""
+
+    @pytest.mark.parametrize("n", [10**7, 10**8])
+    def test_condition3_at_tiny_sparsity(self, n):
+        # tau = p/n = 1e-7 and 1e-8: s_n is below 2e-6, far under the
+        # window [1, nu^2] that the inner integral must also cover.
+        prior = horseshoe_prior(1.0 / n, n, 1)
+        want = oracles.mp_certificate_constants(prior)[1]
+        got = check_condition3(prior).estimated_constant
+        assert abs(got / want - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "prior", MPMATH_PRIORS, ids=lambda p: f"{p.family}-{dict(p.params)}-{p.n}-{p.p:g}"
+    )
+    def test_constants_within_1e_12(self, prior):
+        c2, c3, total = oracles.mp_certificate_constants(prior)
+        cert2, cert3 = check_condition2(prior), check_condition3(prior)
+        assert cert2.estimated_constant == pytest.approx(c2, rel=1e-12, abs=0.0)
+        assert cert3.estimated_constant == pytest.approx(c3, rel=1e-12, abs=0.0)
+        assert normalization(prior) == pytest.approx(total, rel=1e-12, abs=0.0)
+        for cert in (cert2, cert3):
+            assert 0.0 <= cert.grid["rel_error"] <= cert.grid["rel_tol"]
+
+    def test_heavy_tail_reaches_the_far_cut(self):
+        # u^{-1.1} at shape 0.1: in t the mass decays like e^{-0.1 t}, so
+        # it needs the doubling panels out to t = 700.
+        prior = inverse_gamma_prior(0.1, 1.0, 10**4, 100)
+        assert normalization(prior) == pytest.approx(1.0, rel=1e-12)
+
+    def test_steep_tail_refines_its_panels(self):
+        # The C3 tail of the exponential at rate 100 lives within ~0.01 of
+        # its lower end in t = log u, far narrower than one panel.
+        prior = exponential_prior(100.0, 100, 30)
+        want = oracles.mp_certificate_constants(prior)[1]
+        assert check_condition3(prior).estimated_constant == pytest.approx(want, rel=1e-12)
 
 
 class TestSerialization:

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
-from shrinktest.quadrature import (
-    QuadratureError,
+from oracles import (
     integrate_finite,
     integrate_half_line,
     integrate_tail,
     integrate_unit,
-    integrate_unit_vec,
 )
+from shrinktest.quadrature import QuadratureError, integrate_log_panels, integrate_unit_vec
 
 
 class TestHalfLine:
@@ -71,3 +71,35 @@ class TestNonConvergence:
         with pytest.raises(QuadratureError) as err:
             integrate_unit(noisy, rel_tol=1e-12)
         assert err.value.achieved is not None
+
+
+class TestLogPanels:
+    def test_gaussian_over_the_line(self):
+        value, error = integrate_log_panels(lambda t: -0.5 * t * t, -math.inf, math.inf)
+        assert value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
+        assert 0.0 <= error <= 1e-9 * value
+
+    def test_boundary_layer_is_refined(self):
+        # exp(-100 e^t) falls by a factor e within 0.01 of t = 0, far
+        # inside the first panel; its integral over t >= 0 is E1(100).
+        value, _ = integrate_log_panels(lambda t: -100.0 * np.exp(t), 0.0, 10.0)
+        assert value == pytest.approx(exp1(100.0), rel=1e-12)
+
+    def test_slow_tail_at_the_cut_raises(self):
+        # e^{-t/100} is still e^{-7} at the upper cut t = 700.
+        with pytest.raises(QuadratureError, match="not negligible"):
+            integrate_log_panels(lambda t: -0.01 * t, 0.0, math.inf)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError, match="non-finite integrand"):
+            integrate_log_panels(lambda t: np.full(np.shape(t), np.nan), 0.0, 1.0)
+
+    def test_noise_exhausts_the_panels(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(QuadratureError, match="panels") as err:
+            integrate_log_panels(lambda t: rng.normal(size=np.shape(t)), 0.0, 10.0, rel_tol=1e-12)
+        assert err.value.achieved is not None
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_log_panels(lambda t: -t, 2.0, 2.0)

@@ -306,6 +306,71 @@ class TestDecisionThreshold:
         assert len({repr(r) for r in results}) == 1
 
 
+# Every built-in family at a sparsity tau = p/n log-uniform in [1e-8, 0.3];
+# the horseshoe takes tau as its own scale.
+SPARSITY = hst.floats(-8.0, math.log10(0.3)).map(lambda e: 10.0**e)
+SPARSE_PRIORS = hst.one_of(
+    SPARSITY.map(lambda tau: horseshoe_prior(tau, 10**8, tau * 10**8)),
+    hst.tuples(SPARSITY, hst.floats(-1.0, 1.5)).map(
+        lambda a: exponential_prior(10.0 ** a[1], 10**8, a[0] * 10**8)
+    ),
+    hst.tuples(SPARSITY, hst.floats(0.5, 10.0), hst.floats(0.5, 10.0)).map(
+        lambda a: inverse_gamma_prior(a[1], a[2], 10**8, a[0] * 10**8)
+    ),
+)
+
+
+class TestThresholdSearch:
+    """The Newton search against the oracle bisection, and its cost."""
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(prior=SPARSE_PRIORS, alpha=hst.floats(0.05, 0.95))
+    def test_agrees_with_oracle_in_few_kernel_calls(self, prior, alpha):
+        curve = ShrinkageCurve(prior)
+        calls = []
+        fixed_nodes = curve._fixed_nodes
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return fixed_nodes(*args)
+
+        curve._fixed_nodes = counted
+        reference = oracles.ReferenceCurve(prior)
+        try:
+            x_star = curve.decision_threshold(alpha)
+        except AlwaysReject:
+            assert reference.weight(0.0) >= alpha - 1e-9
+            return
+        except NoCrossing:
+            assert reference.weight(2.0 * curve.search_cap()) < alpha + 1e-9
+            return
+        assert x_star == pytest.approx(reference.bisect_threshold(alpha), abs=1e-8)
+        # A search that fell back also pays an adaptive integration per
+        # point and the monotone grid; the fallback test below bounds it.
+        if curve.fallbacks == 0:
+            assert len(calls) <= 20
+
+    def test_tiny_tau_matches_mpmath(self):
+        # At tau = 1e-8 the spike sits at u ~ 1e-16; the kernel resolves it
+        # with no fallback from x = 0 to 300.
+        curve = ShrinkageCurve(horseshoe_prior(1e-8, 10**8, 1))
+        xs = [0.0, 5.0, 6.740368, 20.0, 300.0]
+        got = curve.weights(xs)
+        for x, m in zip(xs, got):
+            assert m == pytest.approx(oracles.mp_shrinkage_weight(1e-8, x, dps=25), abs=1e-12)
+        assert curve.decision_threshold(0.5) == pytest.approx(6.740368, abs=1e-6)
+        assert curve.fallbacks == 0
+
+    def test_fallback_search_uses_secant_steps(self):
+        # Past |x| ~ 40 the exponential prior at rate 10 falls back, so the
+        # search near x* ~ 44.7 runs on adaptive values without node slopes.
+        curve = ShrinkageCurve(exponential_prior(10.0, 10**4, 100))
+        x_star = curve.decision_threshold(0.9)
+        assert curve.fallbacks > 0
+        assert curve.fallbacks <= 20
+        assert abs(curve.adaptive_weight(x_star) - 0.9) <= 1e-10
+
+
 class TestLargeSignalThreshold:
     def test_declared_constant_value(self):
         # K=1, u0=1, n/p=100: sqrt(4 log 100) = 4.29193...
