@@ -20,7 +20,7 @@ import numpy as np
 
 from .priors import ScaleMixturePrior, horseshoe_prior
 from .rng import STREAM_ESTIMATOR, STREAM_TWO_GROUP, map_replicates, substream
-from .risk import RiskReport, standard_error
+from .risk import RiskReport, _error_counts, standard_error
 from .shrinkage import ShrinkageCurve
 from .testing import DecisionVector, TwoGroupModel, threshold_test
 
@@ -258,11 +258,10 @@ def adaptive_risk_replicates(
             return cache[p_hat]
 
     def one(rep: int) -> tuple[float, float]:
-        x, is_signal = model.sample(substream(seed, rep, STREAM_TWO_GROUP), model.n)
+        x, signal_idx = model.sample(substream(seed, rep, STREAM_TWO_GROUP), model.n)
         p_hat = estimator(x).p_hat
-        reject = np.abs(x) > cut_for(p_hat)
-        loss = float((reject & ~is_signal).sum() + (~reject & is_signal).sum())
-        return loss, p_hat
+        fp, fn = _error_counts(np.abs(x, out=x), signal_idx, cut_for(p_hat))
+        return float(fp + fn), p_hat
 
     pairs = np.array(map_replicates(one, replicates, threads))
     return pairs[:, 0], pairs[:, 1]

@@ -53,6 +53,21 @@ def _parse_x_values(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _read_observations(path: str) -> list[float]:
+    """One float per nonblank line; a bad line fails naming the file and its line number."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    try:
+        return [float(line) for line in lines if line.strip()]
+    except ValueError:
+        for number, line in enumerate(lines, 1):
+            try:
+                float(line.strip() or "0")  # blank lines are skipped, not errors
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: not a number: {line.strip()!r}") from None
+        raise
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -137,8 +152,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        data = [float(line) for line in fh if line.strip()]
+    data = _read_observations(args.input)
     curve = ShrinkageCurve(parse_prior_spec(args.prior))
     decisions = threshold_test(curve, np.array(data), args.alpha)
     table = ResultTable(["index", "x", "decision"])

@@ -20,6 +20,7 @@ import numpy as np
 from .adaptive import adaptive_risk_replicates, horseshoe_family
 from .priors import ScaleMixturePrior, certified_constants, prior_from_config, prior_to_config
 from .risk import (
+    _error_counts,
     bayes_risk_analytic,
     bayes_risk_bound,
     fdp_fnp_replicates,
@@ -306,10 +307,9 @@ def _run_risk_bayes(config: ExperimentConfig, table: ResultTable) -> None:
     bound = bayes_risk_bound(prior, model, config.alpha, big_c, c)
 
     def one(rep: int) -> float:
-        x, is_signal = model.sample(substream(config.seed, rep, STREAM_TWO_GROUP), config.draws)
-        reject = np.abs(x) > x_star
-        losses = (reject & ~is_signal) | (~reject & is_signal)
-        return model.n * float(losses.mean())
+        x, signal_idx = model.sample(substream(config.seed, rep, STREAM_TWO_GROUP), config.draws)
+        fp, fn = _error_counts(np.abs(x, out=x), signal_idx, x_star)
+        return model.n * ((fp + fn) / config.draws)
 
     risks = np.array(map_replicates(one, config.replicates, config.threads))
     base = dict(n=model.n, p=model.p_n, alpha=config.alpha, x_star=x_star, seed=config.seed)

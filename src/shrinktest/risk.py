@@ -107,11 +107,6 @@ class SparseSignal:
     def p_n(self) -> int:
         return len(self.support)
 
-    def to_vector(self) -> np.ndarray:
-        theta = np.zeros(self.n)
-        theta[self.support] = self.values
-        return theta
-
 
 def flat_signal(n: int, p: int, magnitude: float) -> SparseSignal:
     """p signals of common magnitude on the first p coordinates."""
@@ -279,6 +274,16 @@ def standard_error(values: np.ndarray) -> float:
     return float(values.std(ddof=1 if len(values) > 1 else 0)) / math.sqrt(len(values))
 
 
+def _error_counts(abs_x: np.ndarray, signal_idx: np.ndarray, cut: float) -> tuple[int, int]:
+    """(false positives, false negatives) of the rule |x| > cut.
+
+    Only the signal coordinates are indexed: the false positives are all
+    rejections minus the signal hits, so the full-length pass is one count.
+    """
+    hits = int(np.count_nonzero(abs_x[signal_idx] > cut))
+    return int(np.count_nonzero(abs_x > cut)) - hits, len(signal_idx) - hits
+
+
 def fdp_fnp_replicates(
     signal: SparseSignal,
     x_star: float,
@@ -290,24 +295,20 @@ def fdp_fnp_replicates(
 
     Each replicate draws unit Gaussian noise on its own (seed, replicate)
     stream, so results do not depend on scheduling; the false-discovery
-    proportion uses the max(rejections, 1) convention.
+    proportion uses the max(rejections, 1) convention.  The signal is
+    added on its support only; off it the data are the noise itself.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if signal.p_n == 0:
+    p_n = signal.p_n
+    if p_n == 0:
         raise ValueError("signal has no support: FNR is undefined")
-    theta = signal.to_vector()
-    null_mask = np.ones(signal.n, dtype=bool)
-    null_mask[signal.support] = False
 
     def one(rep: int) -> tuple[float, float]:
-        rng = substream(seed, rep, STREAM_NOISE)
-        data = theta + rng.standard_normal(signal.n)
-        rejected = np.abs(data) > x_star
-        total = int(rejected.sum())
-        fdp = float(rejected[null_mask].sum()) / max(total, 1)
-        fnp = float(signal.p_n - rejected[~null_mask].sum()) / signal.p_n
-        return fdp, fnp
+        x = substream(seed, rep, STREAM_NOISE).standard_normal(signal.n)
+        x[signal.support] += signal.values
+        fp, fn = _error_counts(np.abs(x, out=x), signal.support, x_star)
+        return fp / max(fp + p_n - fn, 1), fn / p_n
 
     pairs = np.array(map_replicates(one, replicates, threads))
     return pairs[:, 0], pairs[:, 1]
@@ -347,36 +348,17 @@ class TwoGroupComparison:
 
 def _two_group_counts(
     model: TwoGroupModel, cuts: tuple[float, ...], draws: int, seed: int, threads: int, batches: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
+) -> tuple[np.ndarray, int]:
+    """Per-cut (fp, fn) totals and the signal count over all batches."""
     per_batch = split_draws(draws, batches)
 
-    def one(batch: int) -> tuple:
-        m = per_batch[batch]
-        if m == 0:
-            return (0, 0) + (0, 0) * len(cuts) + (0, 0)
-        x, is_signal = model.sample(substream(seed, batch, STREAM_TWO_GROUP), m)
-        abs_x = np.abs(x)
-        out = [int(is_signal.sum()), m]
-        losses = []
-        for cut in cuts:
-            reject = abs_x > cut
-            fp = int((reject & ~is_signal).sum())
-            fn = int((~reject & is_signal).sum())
-            out.extend([fp, fn])
-            losses.append((reject & ~is_signal) | (~reject & is_signal))
-        if len(cuts) == 2:
-            diff = losses[0].astype(np.int64) - losses[1].astype(np.int64)
-            out.extend([int(diff.sum()), int(np.abs(diff).sum())])
-        else:
-            out.extend([0, 0])
-        return tuple(out)
+    def one(batch: int) -> list[int]:
+        x, signal_idx = model.sample(substream(seed, batch, STREAM_TWO_GROUP), per_batch[batch])
+        np.abs(x, out=x)
+        return [len(signal_idx)] + [k for cut in cuts for k in _error_counts(x, signal_idx, cut)]
 
-    rows = np.array(map_replicates(one, batches, threads), dtype=np.int64)
-    totals = rows.sum(axis=0)
-    n_signal, n_draws = int(totals[0]), int(totals[1])
-    fp_fn = totals[2 : 2 + 2 * len(cuts)].reshape(len(cuts), 2)
-    diff = totals[-2:]
-    return fp_fn, diff, n_signal, n_draws
+    totals = np.array(map_replicates(one, batches, threads), dtype=np.int64).sum(axis=0)
+    return totals[1:].reshape(len(cuts), 2), int(totals[0])
 
 
 def _report_from_counts(
@@ -408,10 +390,8 @@ def two_group_risk_mc(
     batches: int = 64,
 ) -> RiskReport:
     """Monte Carlo additive risk of the cut x* under the two-group marginal."""
-    fp_fn, _, n_signal, n_draws = _two_group_counts(
-        model, (float(x_star),), draws, seed, threads, batches
-    )
-    return _report_from_counts(model, int(fp_fn[0, 0]), int(fp_fn[0, 1]), n_signal, n_draws)
+    fp_fn, n_signal = _two_group_counts(model, (float(x_star),), draws, seed, threads, batches)
+    return _report_from_counts(model, int(fp_fn[0, 0]), int(fp_fn[0, 1]), n_signal, draws)
 
 
 def oracle_comparison_mc(
@@ -425,19 +405,21 @@ def oracle_comparison_mc(
     """Risks of the threshold cut and the oracle cut on common draws.
 
     The paired difference keeps its own standard error, so the oracle's
-    optimality can be checked without between-run noise.
+    optimality can be checked without between-run noise.  The two
+    rejection sets are nested, so a draw's losses differ exactly where
+    one cut rejects and the other does not: the summed |loss difference|
+    is the difference of the rejection counts, fp - fn + n_signal.
     """
     cuts = (float(x_star), model.oracle_cutoff())
-    fp_fn, diff, n_signal, n_draws = _two_group_counts(
-        model, cuts, draws, seed, threads, batches
-    )
-    thresh = _report_from_counts(model, int(fp_fn[0, 0]), int(fp_fn[0, 1]), n_signal, n_draws)
-    oracle = _report_from_counts(model, int(fp_fn[1, 0]), int(fp_fn[1, 1]), n_signal, n_draws)
-    mean_d = diff[0] / n_draws
-    var_d = max(diff[1] / n_draws - mean_d * mean_d, 0.0)
+    fp_fn, n_signal = _two_group_counts(model, cuts, draws, seed, threads, batches)
+    (fp0, fn0), (fp1, fn1) = fp_fn.tolist()
+    thresh = _report_from_counts(model, fp0, fn0, n_signal, draws)
+    oracle = _report_from_counts(model, fp1, fn1, n_signal, draws)
+    mean_d = ((fp0 + fn0) - (fp1 + fn1)) / draws
+    var_d = max(abs((fp0 - fn0) - (fp1 - fn1)) / draws - mean_d * mean_d, 0.0)
     return TwoGroupComparison(
         threshold=thresh,
         oracle=oracle,
         risk_diff=model.n * mean_d,
-        risk_diff_se=model.n * math.sqrt(var_d / n_draws),
+        risk_diff_se=model.n * math.sqrt(var_d / draws),
     )

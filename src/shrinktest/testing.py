@@ -75,24 +75,13 @@ class TwoGroupModel:
                 f"log(n/p_n)/c_psi={expected!r}"
             )
 
-    @staticmethod
-    def _check_sparsity(n: int, p_n: float) -> None:
-        if not 0.0 < p_n < n:
-            raise ValueError("p_n must lie in (0, n)")
-
     @classmethod
     def from_c_psi(cls, n: int, p_n: float, c_psi: float) -> "TwoGroupModel":
-        cls._check_sparsity(n, p_n)
+        if not 0.0 < p_n < n:
+            raise ValueError("p_n must lie in (0, n)")
         if not c_psi > 0.0:
             raise ValueError("c_psi must be positive")
         return cls(n=n, p_n=p_n, psi_sq=math.log(n / p_n) / c_psi, c_psi=c_psi)
-
-    @classmethod
-    def from_psi_sq(cls, n: int, p_n: float, psi_sq: float) -> "TwoGroupModel":
-        cls._check_sparsity(n, p_n)
-        if not psi_sq > 0.0:
-            raise ValueError("psi_sq must be positive")
-        return cls(n=n, p_n=p_n, psi_sq=psi_sq, c_psi=math.log(n / p_n) / psi_sq)
 
     @property
     def signal_fraction(self) -> float:
@@ -104,12 +93,16 @@ class TwoGroupModel:
         return math.sqrt(1.0 + self.psi_sq)
 
     def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (x, is_signal) for size coordinates: labels, then normals,
-        then the signal rescaling, the stream layout every MC path keys on."""
-        is_signal = rng.random(size) < self.signal_fraction
+        """Draw (x, signal_idx) for size coordinates: labels, then normals,
+        then the signal rescaling, the stream layout every MC path keys on.
+
+        signal_idx holds the sorted indices of the signal coordinates
+        (those whose uniform label fell below p_n/n), not a boolean mask.
+        """
+        signal_idx = np.flatnonzero(rng.random(size) < self.signal_fraction)
         x = rng.standard_normal(size)
-        x[is_signal] *= self.alt_sd
-        return x, is_signal
+        x[signal_idx] *= self.alt_sd
+        return x, signal_idx
 
     def oracle_cutoff(self) -> float:
         """|x| cut of the posterior-odds rule at posterior probability 1/2.

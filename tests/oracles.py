@@ -5,7 +5,10 @@ substituted or logarithmic grids), closed forms or extended precision.
 The adaptive QUADPACK integrators at the end (integrate_finite,
 integrate_tail, integrate_half_line, integrate_log, integrate_unit) are
 what the certificates used before the panel rule in t = log u; they
-stay here as a second, independent route to the same integrals.
+stay here as a second, independent route to the same integrals.  The
+full-length Monte Carlo kernels in between count errors with boolean
+masks over every coordinate, as the library did before it counted on
+the signal coordinates only.
 """
 
 import math
@@ -16,6 +19,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from shrinktest.quadrature import DEFAULT_REL_TOL, _check_error, integrate_unit_vec
+from shrinktest.rng import STREAM_NOISE, STREAM_TWO_GROUP, split_draws, substream
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -269,6 +273,100 @@ def posterior_odds_root(n: int, p_n: float, psi_sq: float) -> float:
         return math.log(prior_odds) + log_lr
 
     return float(brentq(log_odds, 0.0, 100.0, xtol=1e-14, rtol=8.9e-16))
+
+
+# ---------------------------------------------------------------------------
+# Full-length Monte Carlo kernels: the replicate counts before they were
+# taken on the signal coordinates only.  Same streams and draw order, so
+# the library must reproduce their arrays and reports exactly.
+# ---------------------------------------------------------------------------
+
+def signal_vector(signal) -> np.ndarray:
+    """The length-n mean vector of a SparseSignal, zero off the support."""
+    theta = np.zeros(signal.n)
+    theta[signal.support] = signal.values
+    return theta
+
+
+def fdp_fnp_full_mask(signal, x_star: float, replicates: int, seed: int):
+    """Per-replicate (FDP, FNP) from theta + noise and boolean null masks."""
+    theta = signal_vector(signal)
+    null_mask = np.ones(signal.n, dtype=bool)
+    null_mask[signal.support] = False
+    fdp, fnp = [], []
+    for rep in range(replicates):
+        data = theta + substream(seed, rep, STREAM_NOISE).standard_normal(signal.n)
+        rejected = np.abs(data) > x_star
+        total = int(rejected.sum())
+        fdp.append(float(rejected[null_mask].sum()) / max(total, 1))
+        fnp.append(float(signal.p_n - rejected[~null_mask].sum()) / signal.p_n)
+    return np.array(fdp), np.array(fnp)
+
+
+def two_group_sample_mask(model, rng, size: int):
+    """(x, is_signal) with a boolean label mask, in the library's draw order."""
+    is_signal = rng.random(size) < model.signal_fraction
+    x = rng.standard_normal(size)
+    x[is_signal] *= model.alt_sd
+    return x, is_signal
+
+
+def two_group_counts_full_mask(model, cuts, draws: int, seed: int, batches: int = 64):
+    """Per-cut (fp, fn) totals, paired loss-difference sums, signal and draw counts.
+
+    Each cut builds its full-length loss array; with two cuts the paired
+    difference is summed coordinate by coordinate, plain and absolute.
+    """
+    fp_fn = np.zeros((len(cuts), 2), dtype=np.int64)
+    diff = np.zeros(2, dtype=np.int64)
+    n_signal = 0
+    for batch, m in enumerate(split_draws(draws, batches)):
+        if m == 0:
+            continue
+        x, is_signal = two_group_sample_mask(model, substream(seed, batch, STREAM_TWO_GROUP), m)
+        n_signal += int(is_signal.sum())
+        losses = []
+        for k, cut in enumerate(cuts):
+            reject = np.abs(x) > cut
+            fp_fn[k] += [int((reject & ~is_signal).sum()), int((~reject & is_signal).sum())]
+            losses.append((reject & ~is_signal) | (~reject & is_signal))
+        if len(cuts) == 2:
+            d = losses[0].astype(np.int64) - losses[1].astype(np.int64)
+            diff += [int(d.sum()), int(np.abs(d).sum())]
+    return fp_fn, diff, n_signal, draws
+
+
+def oracle_comparison_full_mask(model, x_star: float, draws: int, seed: int, batches: int = 64):
+    """oracle_comparison_mc from the full-length counts and paired loss sums."""
+    from shrinktest.risk import TwoGroupComparison, _report_from_counts
+
+    fp_fn, diff, n_signal, n_draws = two_group_counts_full_mask(
+        model, (float(x_star), model.oracle_cutoff()), draws, seed, batches
+    )
+    reports = [_report_from_counts(model, int(fp), int(fn), n_signal, n_draws) for fp, fn in fp_fn]
+    mean_d = diff[0] / n_draws
+    var_d = max(diff[1] / n_draws - mean_d * mean_d, 0.0)
+    return TwoGroupComparison(
+        threshold=reports[0],
+        oracle=reports[1],
+        risk_diff=model.n * mean_d,
+        risk_diff_se=model.n * math.sqrt(var_d / n_draws),
+    )
+
+
+def adaptive_losses_full_mask(prior_family, model, alpha: float, replicates: int, seed: int):
+    """Per-replicate (loss count, p_hat) of the plug-in pipeline with label masks."""
+    from shrinktest import ShrinkageCurve, simple_count_estimator
+
+    out = []
+    for rep in range(replicates):
+        x, is_signal = two_group_sample_mask(model, substream(seed, rep, STREAM_TWO_GROUP), model.n)
+        p_hat = simple_count_estimator(x).p_hat
+        curve = ShrinkageCurve(prior_family(model.n, min(p_hat, model.n - 1)))
+        reject = np.abs(x) > curve.decision_threshold(alpha)
+        out.append((float((reject & ~is_signal).sum() + (~reject & is_signal).sum()), p_hat))
+    pairs = np.array(out)
+    return pairs[:, 0], pairs[:, 1]
 
 
 # ---------------------------------------------------------------------------

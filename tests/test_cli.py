@@ -137,6 +137,16 @@ class TestTestCommand:
         )
         assert code == EXIT_VALIDATION
 
+    def test_bad_line_named_by_file_and_number(self, capsys, compute_calls, tmp_path):
+        # The blank line counts toward the 1-based line number.
+        data = tmp_path / "data.csv"
+        data.write_text("0.0\n\n1.5\nabc\n2.0\n")
+        code, out, err = run_cli(capsys, "test", "--prior", PRIOR, "--input", str(data))
+        assert code == EXIT_VALIDATION
+        assert f"{data}, line 4: not a number: 'abc'" in err
+        assert out == ""
+        assert compute_calls == []
+
 
 class TestCheckPrior:
     def test_json_records(self, capsys):

@@ -11,8 +11,11 @@ from shrinktest import (
     TwoGroupModel,
     bayes_risk_analytic,
     bayes_risk_bound,
+    adaptive_risk_replicates,
+    fdp_fnp_replicates,
     fdr_fnr_mc,
     flat_signal,
+    horseshoe_family,
     horseshoe_prior,
     minimax_risk_bound,
     oracle_comparison_mc,
@@ -20,7 +23,10 @@ from shrinktest import (
     separation_rate,
     two_group_risk_mc,
 )
+from shrinktest.risk import standard_error
 from shrinktest.rng import substream
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +58,7 @@ class TestRiskReport:
 class TestSparseSignal:
     def test_off_support_exactly_zero(self):
         signal = flat_signal(10, 3, 5.0)
-        theta = signal.to_vector()
+        theta = oracles.signal_vector(signal)
         assert np.count_nonzero(theta) == 3
         assert signal.p_n == 3
 
@@ -260,3 +266,85 @@ class TestOracleComparison:
         a = oracle_comparison_mc(model, x_star, draws=50000, seed=5, threads=1)
         b = oracle_comparison_mc(model, x_star, draws=50000, seed=5, threads=8)
         assert a == b
+
+
+def _scattered_signal(n: int = 5000, p: int = 60) -> SparseSignal:
+    """Mixed-sign magnitudes on an unsorted, scattered support."""
+    rng = substream(31, 0, 0)
+    support = rng.permutation(n)[:p]
+    values = rng.choice([-1.0, 1.0], p) * rng.uniform(0.5, 6.0, p)
+    return SparseSignal(n, support, values)
+
+
+class TestCountedKernels:
+    """The kernels count on the signal coordinates only; the full-length
+    masks of the oracle module must give the same arrays and reports."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("x_star", [2.7, 0.0, 1e3])
+    def test_fdp_fnp_match_full_masks(self, x_star, threads):
+        signal = _scattered_signal()
+        assert not np.all(np.diff(signal.support) > 0)
+        assert np.any(signal.values < 0) and np.any(signal.values > 0)
+        fdp, fnp = fdp_fnp_replicates(signal, x_star, 12, seed=8, threads=threads)
+        want_fdp, want_fnp = oracles.fdp_fnp_full_mask(signal, x_star, 12, seed=8)
+        np.testing.assert_array_equal(fdp, want_fdp)
+        np.testing.assert_array_equal(fnp, want_fnp)
+
+    def test_zero_cut_rejects_everything(self):
+        signal = _scattered_signal()
+        fdp, fnp = fdp_fnp_replicates(signal, 0.0, 5, seed=8)
+        assert np.all(fdp == (signal.n - signal.p_n) / signal.n)
+        assert np.all(fnp == 0.0)
+
+    def test_cut_above_every_draw_rejects_nothing(self):
+        # No rejections: FDP is 0 by the max(R, 1) rule and every signal is missed.
+        fdp, fnp = fdp_fnp_replicates(_scattered_signal(), 1e3, 5, seed=8)
+        assert np.all(fdp == 0.0)
+        assert np.all(fnp == 1.0)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_fdr_fnr_report_matches_full_masks(self, curve, threads):
+        signal = _scattered_signal()
+        report = fdr_fnr_mc(curve, signal, 0.5, replicates=15, seed=21, threads=threads)
+        fdp, fnp = oracles.fdp_fnp_full_mask(signal, curve.decision_threshold(0.5), 15, seed=21)
+        assert report == RiskReport(
+            fdr=float(fdp.mean()), fnr=float(fnp.mean()),
+            rsup=float(fdp.mean()) + float(fnp.mean()),
+            mc_standard_errors={
+                "fdr": standard_error(fdp), "fnr": standard_error(fnp),
+                "rsup": standard_error(fdp + fnp),
+            },
+            n_replicates=15,
+        )
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_oracle_comparison_matches_full_masks(self, model, shift, threads):
+        # The oracle cut sits above x* for shift = -1 and below it for +1.
+        x_star = model.oracle_cutoff() + shift
+        got = oracle_comparison_mc(model, x_star, draws=60000, seed=13, threads=threads)
+        assert got == oracles.oracle_comparison_full_mask(model, x_star, 60000, seed=13)
+        assert got.risk_diff_se > 0.0
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("draws", [40, 70001])
+    def test_two_group_risk_matches_full_masks(self, model, draws, threads):
+        # 40 draws leave most of the 64 batches empty.
+        x_star = model.oracle_cutoff()
+        got = two_group_risk_mc(model, x_star, draws=draws, seed=3, threads=threads)
+        want = oracles.oracle_comparison_full_mask(model, x_star, draws, seed=3).threshold
+        assert got == want
+
+    def test_sample_returns_the_label_mask_indices(self, model):
+        x, signal_idx = model.sample(substream(5, 0, 1), 20000)
+        want_x, is_signal = oracles.two_group_sample_mask(model, substream(5, 0, 1), 20000)
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(signal_idx, np.flatnonzero(is_signal))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_adaptive_losses_match_full_masks(self, model, threads):
+        got = adaptive_risk_replicates(horseshoe_family, model, 0.5, 6, seed=2, threads=threads)
+        want = oracles.adaptive_losses_full_mask(horseshoe_family, model, 0.5, 6, seed=2)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)

@@ -79,7 +79,8 @@ class TestTwoGroupModel:
         assert model.alt_sd == pytest.approx(math.sqrt(1.0 + math.log(100.0)))
 
     def test_from_psi_sq_relation(self):
-        model = TwoGroupModel.from_psi_sq(10**4, 100, 4.0)
+        model = TwoGroupModel.from_c_psi(10**4, 100, math.log(100.0) / 4.0)
+        assert model.psi_sq == pytest.approx(4.0)
         assert model.c_psi == pytest.approx(math.log(100.0) / 4.0)
 
     def test_inconsistent_pair_rejected(self):
@@ -88,7 +89,7 @@ class TestTwoGroupModel:
 
     def test_degenerate_psi_rejected(self):
         with pytest.raises(ValueError):
-            TwoGroupModel.from_psi_sq(100, 10, 0.0)
+            TwoGroupModel(n=100, p_n=10, psi_sq=0.0, c_psi=1.0)
 
     def test_invalid_sparsity(self):
         with pytest.raises(ValueError):
@@ -107,7 +108,7 @@ class TestBayesOracle:
     def test_cutoff_grows_with_large_psi_sq(self):
         # For strong signals the squared cut tracks log(1+psi^2) + 2 log odds.
         cuts_sq = [
-            TwoGroupModel.from_psi_sq(200, 10, psi_sq).oracle_cutoff() ** 2
+            TwoGroupModel.from_c_psi(200, 10, math.log(20.0) / psi_sq).oracle_cutoff() ** 2
             for psi_sq in (16.0, 64.0, 256.0, 1024.0)
         ]
         assert all(b > a for a, b in zip(cuts_sq, cuts_sq[1:]))
@@ -117,7 +118,7 @@ class TestBayesOracle:
     def test_dense_regime_collapses_to_zero(self):
         # p_n close to n turns the prior odds against the null; with a log
         # term negative enough the cut hits the floor and everything rejects.
-        model = TwoGroupModel.from_psi_sq(100, 99, 0.05)
+        model = TwoGroupModel.from_c_psi(100, 99, math.log(100 / 99) / 0.05)
         assert model.oracle_cutoff() == 0.0
         out = bayes_oracle_test(model, np.zeros(100))
         assert out.n_rejections == 100
