@@ -296,23 +296,18 @@ def check_condition1(
     a = grid.a_points()
     b = prior.tail_rate
     log_pi = _checked_log_density(prior, u)
-    log_l = log_pi + b * u
+    col = a[:, None]  # one row per a; the row a = 1 cancels to 0 below
+    log_pi_a = _checked_log_density(prior, col * u)
+    raw = np.abs(log_pi_a + b * col * u - (log_pi + b * u))
+    # Cancellation noise from pi = L e^{-bu}: differences below rounding
+    # scale are genuinely zero (constant L must certify R = 1 exactly).
     eps = np.finfo(float).eps
-    abs_log_ratio = np.zeros((len(a), len(u)))
-    for i, ai in enumerate(a):
-        if ai == 1.0:
-            continue
-        log_pi_a = _checked_log_density(prior, ai * u)
-        raw = np.abs(log_pi_a + b * ai * u - log_l)
-        # Cancellation noise from pi = L e^{-bu}: differences below rounding
-        # scale are genuinely zero (constant L must certify R = 1 exactly).
-        noise = 64.0 * eps * (2.0 + np.abs(log_pi) + np.abs(log_pi_a) + b * u * (1.0 + ai))
-        abs_log_ratio[i] = np.where(raw <= noise, 0.0, raw)
+    noise = 64.0 * eps * (2.0 + np.abs(log_pi) + np.abs(log_pi_a) + b * u * (1.0 + col))
+    abs_log_ratio = np.where(raw <= noise, 0.0, raw)
     per_u = abs_log_ratio.max(axis=0)
-    idx_flat = int(np.argmax(abs_log_ratio))
-    ia, iu = np.unravel_index(idx_flat, abs_log_ratio.shape)
+    ia, iu = np.unravel_index(int(np.argmax(abs_log_ratio)), abs_log_ratio.shape)
     log_r = float(per_u.max())
-    estimated = float(np.exp(min(log_r, 709.0))) if log_r < 709.0 else math.inf
+    estimated = float(np.exp(log_r)) if log_r < 709.0 else math.inf
 
     witness = None
     if prior.rv_ratio is not None:
@@ -380,9 +375,7 @@ def check_condition1_lower(
     )
 
 
-def _moment(
-    prior: ScaleMixturePrior, power: float, lo: float, hi: float, rel_tol: float = DEFAULT_REL_TOL
-) -> tuple[float, float]:
+def _moment(prior: ScaleMixturePrior, power: float, lo: float, hi: float) -> tuple[float, float]:
     """Integral of u^power pi(u) over (e^lo, e^hi), and its error estimate.
 
     The integral is taken in t = log u, where the integrand is
@@ -395,12 +388,12 @@ def _moment(
     def log_integrand(t: np.ndarray) -> np.ndarray:
         return prior.log_density_at(np.exp(t)) + (power + 1.0) * t
 
-    return integrate_log_panels(log_integrand, lo, hi, rel_tol)
+    return integrate_log_panels(log_integrand, lo, hi)
 
 
-def mass_below(prior: ScaleMixturePrior, cutoff: float = 1.0, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def mass_below(prior: ScaleMixturePrior, cutoff: float = 1.0) -> float:
     """Prior mass of (0, cutoff), integrated in t = log u."""
-    return _moment(prior, 0.0, -math.inf, math.log(cutoff), rel_tol)[0]
+    return _moment(prior, 0.0, -math.inf, math.log(cutoff))[0]
 
 
 def check_condition2(prior: ScaleMixturePrior) -> ConditionCertificate:
@@ -419,9 +412,7 @@ def check_condition2(prior: ScaleMixturePrior) -> ConditionCertificate:
     )
 
 
-def check_condition3(
-    prior: ScaleMixturePrior, rel_tol: float = DEFAULT_REL_TOL
-) -> ConditionCertificate:
+def check_condition3(prior: ScaleMixturePrior) -> ConditionCertificate:
     """Report the implied intermediate-decay constant relative to s_n.
 
     Evaluates (I1 + I2) / s_n where I1 integrates min(u, nu^3/sqrt(u))
@@ -440,9 +431,9 @@ def check_condition3(
     nu = math.sqrt(nu_sq)
     s_n = (p / n) * nu_sq  # below 1/e, the top of tau log(1/tau)
     log_nu_sq = math.log(nu_sq)
-    i1_inner, e1_inner = _moment(prior, 1.0, math.log(s_n), log_nu_sq, rel_tol)
-    i1_tail, e1_tail = _moment(prior, -0.5, log_nu_sq, math.inf, rel_tol)
-    i2, e2 = _moment(prior, -0.5, 0.0, log_nu_sq, rel_tol)
+    i1_inner, e1_inner = _moment(prior, 1.0, math.log(s_n), log_nu_sq)
+    i1_tail, e1_tail = _moment(prior, -0.5, log_nu_sq, math.inf)
+    i2, e2 = _moment(prior, -0.5, 0.0, log_nu_sq)
     constant = (i1_inner + nu ** 3 * i1_tail + nu * i2) / s_n
     error = (e1_inner + nu ** 3 * e1_tail + nu * e2) / s_n
     rel_error = error / constant if constant > 0.0 else 0.0
@@ -451,7 +442,7 @@ def check_condition3(
         satisfied=True,
         estimated_constant=constant,
         witness=None,
-        grid={"s_n": s_n, "nu_sq": nu_sq, "rel_tol": rel_tol, "rel_error": rel_error},
+        grid={"s_n": s_n, "nu_sq": nu_sq, "rel_tol": DEFAULT_REL_TOL, "rel_error": rel_error},
     )
 
 
@@ -472,9 +463,9 @@ def certify_prior(
     ]
 
 
-def normalization(prior: ScaleMixturePrior, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def normalization(prior: ScaleMixturePrior) -> float:
     """Total prior mass on (0, inf); should be 1 for a proper density."""
-    return _moment(prior, 0.0, -math.inf, math.inf, rel_tol)[0]
+    return _moment(prior, 0.0, -math.inf, math.inf)[0]
 
 
 # ---------------------------------------------------------------------------

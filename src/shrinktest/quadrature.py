@@ -1,38 +1,25 @@
 """Quadrature for densities on the positive half-line.
 
-The certificates integrate in t = log u with a fixed-node rule
-(integrate_log_panels): 16-point Gauss-Legendre panels, each checked
-against the same rule on its two halves.  In t, a density's mass at any
-scale u0 -- the horseshoe's spike at u ~ tau^2 included -- is a bump of
-width O(1) at t = log u0, and rules on such bumps converge
-geometrically.
-
-The shrinkage kernel's fallback integrates over the unit interval
-instead (integrate_unit_vec).  There (0, inf) is mapped through
-z = u / (1 + u), and each half of (0, 1) is regularized with a
-square-root substitution (z = s^2 near 0, 1 - z = s^2 near 1), so that
-integrable endpoint singularities -- u^{-1/2} spikes at the origin,
-heavy polynomial tails at infinity -- are flattened before the adaptive
-rule sees them.
+One fixed-node rule serves every integral of the package
+(integrate_log_panels): the integral is taken in t = log u, on 16-point
+Gauss-Legendre panels, each checked against the same rule on its two
+halves.  In t, a density's mass at any scale u0 -- the horseshoe's spike
+at u ~ tau^2 included -- is a bump of width O(1) at t = log u0, and rules
+on such bumps converge geometrically; a bump narrower than a panel, or a
+jump in the density, is met by halving the panels that fail the check.
+The certificates' moments and the shrinkage kernel's fallback for m_x
+both run on it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 DEFAULT_REL_TOL = 1e-9
-
-# Absolute floor so purely-relative targets cannot stall on zero integrals.
-_ABS_FLOOR = 1e-200
-# Achieved-error slack before declaring non-convergence.
-_ERROR_SLACK = 100.0
-
-_SQRT_HALF = math.sqrt(0.5)
 
 # Panel rule in t = log u: the nodes and weights of 16-point
 # Gauss-Legendre on [-1, 1], the starting panel width, and the cap on
@@ -61,68 +48,11 @@ class NumericError(RuntimeError):
 
 
 class QuadratureError(NumericError):
-    """Adaptive integration failed to reach the requested tolerance."""
+    """Integration failed to reach the requested tolerance."""
 
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
         self.achieved = achieved
-
-
-def _check_error(value_scale: float, err: float, rel_tol: float, what: str) -> None:
-    budget = max(_ABS_FLOOR, rel_tol * value_scale) * _ERROR_SLACK
-    if not math.isfinite(err) or err > budget:
-        raise QuadratureError(
-            f"{what}: achieved error {err:.3e} exceeds tolerance "
-            f"{rel_tol:.1e} (scale {value_scale:.3e})",
-            achieved=err,
-        )
-
-
-def _piece_points(points: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Map breakpoints in z-coordinates into the s-coordinates of each half."""
-    lower, upper = [], []
-    for z in points:
-        if 0.0 < z < 0.5:
-            lower.append(math.sqrt(z))
-        elif 0.5 < z < 1.0:
-            upper.append(math.sqrt(1.0 - z))
-    return sorted(lower), sorted(upper)
-
-
-def integrate_unit_vec(
-    f: Callable[[float, float], np.ndarray],
-    rel_tol: float = DEFAULT_REL_TOL,
-    points: Sequence[float] = (),
-) -> np.ndarray:
-    """Integrate a vector-valued f over (0, 1) with endpoint substitutions.
-
-    ``f(z, one_minus_z)`` must return a 1-d array; the complement is passed
-    explicitly because near z = 1 it cannot be recovered from z without
-    catastrophic rounding.  ``points`` are optional interior breakpoints
-    in z.  All components share one adaptive mesh.
-    """
-    lower_pts, upper_pts = _piece_points(points)
-
-    def lower(s: float) -> np.ndarray:
-        z = s * s
-        return 2.0 * s * f(z, 1.0 - z)
-
-    def upper(s: float) -> np.ndarray:
-        omz = s * s
-        return 2.0 * s * f(1.0 - omz, omz)
-
-    total = None
-    err_total = 0.0
-    for g, pts in ((lower, lower_pts), (upper, upper_pts)):
-        val, err = quad_vec(
-            g, 0.0, _SQRT_HALF,
-            epsabs=_ABS_FLOOR, epsrel=rel_tol,
-            points=pts or None, norm="max", limit=400,
-        )
-        total = val if total is None else total + val
-        err_total += err
-    _check_error(float(np.max(np.abs(total))), err_total, rel_tol, "unit-interval integral")
-    return total
 
 
 def _gauss_terms(log_f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ pi(u) u (1+u)^{-1/2} e^{-(x^2/2)(1-z)} dt, which decays at both ends of
 the t-line.  The trapezoid rule on a uniform t-grid converges
 geometrically for such integrands, so one fixed node set serves every x:
 the log of the x-free factor is tabulated once per curve, and a batch
-of x costs one log-sum-exp pass over an (x, node) array.
+of x costs one log-sum-exp pass over an (x, node) array.  An x whose
+nodes fail their error check is recomputed from the same log-integrand
+by the package's panel rule in t (quadrature.integrate_log_panels).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.special import expit
 
 from .priors import ScaleMixturePrior
-from .quadrature import DEFAULT_REL_TOL, NumericError, integrate_unit_vec
+from .quadrature import DEFAULT_REL_TOL, NumericError, integrate_log_panels
 
 __all__ = [
     "AlwaysReject",
@@ -45,7 +47,6 @@ _MAX_STEPS = 100
 _CAP_MARGIN = 20.0  # how far the search range reaches past the universal threshold
 _MONOTONE_TOL = 1e-12
 _MONOTONE_GRID = 65
-_TINY = 1e-300
 
 # Fixed nodes of the fast kernel: a uniform grid in t = log u.  The
 # built-in families are bumps of width O(1) in t at moderate |x| (a peak
@@ -75,39 +76,35 @@ class ShrinkageCurve:
     m_x is a trapezoid sum on fixed nodes in t = log u, evaluated for a
     whole batch of x at once.  Each value checks itself: the sum over
     every other node (step 2h) must agree with the full sum to within
-    ``quad_tolerance``, and the end nodes must carry negligible weight.
-    An x that fails a check is recomputed by the adaptive quadrature
-    (``adaptive_weight``), which also serves as the reference; the number
-    of such recomputations is ``fallbacks``.
+    the relative tolerance 1e-9, and the end nodes must carry negligible
+    weight.  An x that fails a check is recomputed on refined panels
+    (``adaptive_weight``); the number of such recomputations is
+    ``fallbacks``.
 
     Evaluations are pure and a curve holds no threshold state; a lock
     guards ``fallbacks`` so a curve can be shared across threads.
     """
 
-    def __init__(self, prior: ScaleMixturePrior, quad_tolerance: float = DEFAULT_REL_TOL):
+    def __init__(self, prior: ScaleMixturePrior):
         self.prior = prior
-        self.quad_tolerance = quad_tolerance
         self._lock = threading.Lock()
         self._fallbacks = 0
-        # z-scan used to normalize the integrand scale before quadrature;
-        # the complement 1-z is tracked exactly through the substitutions.
-        s_sq = np.linspace(1e-8, math.sqrt(0.5), 257) ** 2
-        self._scan_omz = np.concatenate([1.0 - s_sq, s_sq])
-        u = np.concatenate([s_sq, 1.0 - s_sq]) / self._scan_omz
-        self._scan_log_base = prior.log_density_at(u) - 1.5 * np.log(self._scan_omz)
-        # Fast kernel: log of pi(u) u (1+u)^{-1/2}, the prior and the
-        # Jacobian of t = log u, once per curve.  Even nodes come first,
-        # so the step-2h sum is a prefix of the same terms.
+        # Fast kernel: the x-free log-integrand, once per curve.  Even
+        # nodes come first, so the step-2h sum is a prefix of the same terms.
         t = np.linspace(_T_LO, _T_HI, int(round((_T_HI - _T_LO) / _T_STEP)) + 1)
         t = np.concatenate([t[0::2], t[1::2]])
         self._n_even = (len(t) + 1) // 2
         self._z, self._omz = expit(t), expit(-t)
         with np.errstate(all="ignore"):
-            self._log_base = prior.log_density_at(np.exp(t)) + t + 0.5 * np.log(self._omz)
+            self._log_base = self._log_integrand(t, self._omz)
+
+    def _log_integrand(self, t: np.ndarray, omz: np.ndarray) -> np.ndarray:
+        """log of pi(u) u (1+u)^{-1/2} at u = e^t, the x-free weight in t; omz is 1/(1+u)."""
+        return self.prior.log_density_at(np.exp(t)) + t + 0.5 * np.log(omz)
 
     @property
     def fallbacks(self) -> int:
-        """How many x values so far were recomputed by the adaptive quadrature."""
+        """How many x values so far were recomputed on refined panels."""
         return self._fallbacks
 
     def weight(self, x: float) -> float:
@@ -160,7 +157,7 @@ class ShrinkageCurve:
             # The end nodes t_lo and t_hi are the first and last even nodes.
             end_den = w[:, 0] + w[:, ne - 1]
             end_num = wz[:, 0] + wz[:, ne - 1]
-            tol = self.quad_tolerance
+            tol = DEFAULT_REL_TOL
             ok = (
                 np.isfinite(m)
                 & (np.abs(den - 2.0 * den_e) <= tol * den)
@@ -171,36 +168,26 @@ class ShrinkageCurve:
         return np.clip(m, 0.0, 1.0), ~ok
 
     def adaptive_weight(self, x: float) -> float:
-        """m_x by adaptive quadrature: the fallback and reference of the fast kernel."""
+        """m_x by the panel rule in t = log u: the kernel's fallback.
+
+        The denominator and the numerator (the same log-integrand plus
+        log z) are two integrals over the whole t-line, each shifted by
+        the largest node log-weight at x so it stays O(1).  The panels
+        are halved where they fail their check, so a peak narrower than
+        the node step, or a jump in the prior, is resolved.
+        """
         x = float(x)
         if not math.isfinite(x):
             raise ValueError("observation must be finite")
         half_x_sq = 0.5 * x * x
-        # Normalize by the scanned maximum so both integrals stay O(1).
-        scale = float(np.max(self._scan_log_base - half_x_sq * self._scan_omz))
-        log_pi = self.prior.log_density
+        shift = float(np.max(self._log_base - half_x_sq * self._omz))
 
-        def integrand(z: float, one_minus: float) -> np.ndarray:
-            one_minus = max(one_minus, _TINY)
-            u = max(z, _TINY) / one_minus
-            log_w = (
-                float(log_pi(u))
-                - 1.5 * math.log(one_minus)
-                - half_x_sq * one_minus
-                - scale
-            )
-            # The cap is reachable only inside an integrable endpoint spike
-            # whose contribution the sqrt substitution already tames.
-            if log_w > 700.0:
-                log_w = 700.0
-            w = math.exp(log_w) if log_w > -745.0 else 0.0
-            return np.array([w, z * w])
+        def log_den(t: np.ndarray) -> np.ndarray:
+            omz = expit(-t)
+            return self._log_integrand(t, omz) - half_x_sq * omz - shift
 
-        points = ()
-        if abs(x) >= 8.0:
-            # The weight concentrates at z near 1 on a scale of ~(6/x)^2.
-            points = (1.0 - min(0.25, 36.0 / (x * x)),)
-        den, num = integrate_unit_vec(integrand, self.quad_tolerance, points)
+        den = integrate_log_panels(log_den, -math.inf, math.inf)[0]
+        num = integrate_log_panels(lambda t: log_den(t) + np.log(expit(t)), -math.inf, math.inf)[0]
         if den <= 0.0:
             raise NumericError("shrinkage weight denominator underflowed")
         return float(min(max(num / den, 0.0), 1.0))

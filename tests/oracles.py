@@ -2,23 +2,25 @@
 
 Most of these stick to fixed-grid composite rules (trapezoid on
 substituted or logarithmic grids), closed forms or extended precision.
-The adaptive QUADPACK integrators at the end (integrate_finite,
-integrate_tail, integrate_half_line, integrate_log, integrate_unit) are
-what the certificates used before the panel rule in t = log u; they
-stay here as a second, independent route to the same integrals.  The
-full-length Monte Carlo kernels in between count errors with boolean
-masks over every coordinate, as the library did before it counted on
-the signal coordinates only.
+The adaptive QUADPACK routes at the end are what the library used
+before every integral moved to the panel rule in t = log u:
+integrate_finite, integrate_tail, integrate_half_line, integrate_log
+and integrate_unit were the certificates' integrators, and
+quadpack_weight (on integrate_unit_vec) was the shrinkage kernel's
+fallback for m_x.  They stay here as a second, independent route to
+the same integrals.  The full-length Monte Carlo kernels in between
+count errors with boolean masks over every coordinate, as the library
+did before it counted on the signal coordinates only.
 """
 
 import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import expit
 
-from shrinktest.quadrature import DEFAULT_REL_TOL, _check_error, integrate_unit_vec
+from shrinktest.quadrature import DEFAULT_REL_TOL, NumericError, QuadratureError
 from shrinktest.rng import STREAM_NOISE, STREAM_TWO_GROUP, split_draws, substream
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
@@ -179,6 +181,50 @@ def mp_shrinkage_weight_exponential(rate: float, x: float, dps: int = 40) -> flo
 
     r = mpf(repr(rate))
     return _mp_weight(lambda u: r * mp.e ** (-r * u), x, dps)
+
+
+def laplace_weight(rate: float, x: float, dps: int = 40) -> float:
+    """m_x for the exponential variance prior, in closed form at mpmath precision.
+
+    A normal with variance u ~ Exp(rate) is the Laplace law with rate
+    lam = sqrt(2 rate) (Andrews and Mallows, JRSS B 36, 1974), and under
+    it E[theta | x] = x - lam (A - B) / (A + B), with
+    A = e^{-lam x} Phi(x - lam) and B = e^{lam x} Phi(-x - lam).  m_x is
+    that mean over x; at x = 0 it is the limit
+    1 - lam (phi(lam) - lam Phi(-lam)) / Phi(-lam).
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(dps):
+        lam, xv = mp.sqrt(2 * mpf(repr(rate))), mpf(repr(x))
+        if xv == 0:
+            return float(1 - lam * (mp.npdf(lam) - lam * mp.ncdf(-lam)) / mp.ncdf(-lam))
+        a = mp.exp(-lam * xv) * mp.ncdf(xv - lam)
+        b = mp.exp(lam * xv) * mp.ncdf(-xv - lam)
+        return float(1 - lam * (a - b) / ((a + b) * xv))
+
+
+def condition1_constant_by_row(prior, grid) -> float:
+    """C1-rv's largest two-sided tail ratio, one row of a at a time.
+
+    The row a = 1 is skipped (it is exactly 0); each other row evaluates
+    the log-density alone, with the same arithmetic and noise floor as
+    check_condition1.
+    """
+    u = grid.u_points(prior.rv_onset)
+    b = prior.tail_rate
+    log_pi = prior.log_density_at(u)
+    log_l = log_pi + b * u
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for ai in grid.a_points():
+        if ai == 1.0:
+            continue
+        log_pi_a = prior.log_density_at(ai * u)
+        raw = np.abs(log_pi_a + b * ai * u - log_l)
+        noise = 64.0 * eps * (2.0 + np.abs(log_pi) + np.abs(log_pi_a) + b * u * (1.0 + ai))
+        worst = max(worst, float(np.where(raw <= noise, 0.0, raw).max()))
+    return float(np.exp(worst)) if worst < 709.0 else math.inf
 
 
 def _mp_moment(prior, power: float, a, b):
@@ -376,9 +422,107 @@ def adaptive_losses_full_mask(prior_family, model, alpha: float, replicates: int
 _TINY = 1e-300
 # Absolute floor so purely-relative targets cannot stall on zero integrals.
 _ABS_FLOOR = 1e-200
+# Achieved-error slack before declaring non-convergence.
+_ERROR_SLACK = 100.0
+_SQRT_HALF = math.sqrt(0.5)
 # integrate_log: breakpoint mesh width and spacing, in units of t = log u.
 _LOG_SPAN = 150.0
 _LOG_STEP = 5.0
+
+
+def _check_error(value_scale: float, err: float, rel_tol: float, what: str) -> None:
+    budget = max(_ABS_FLOOR, rel_tol * value_scale) * _ERROR_SLACK
+    if not math.isfinite(err) or err > budget:
+        raise QuadratureError(
+            f"{what}: achieved error {err:.3e} exceeds tolerance "
+            f"{rel_tol:.1e} (scale {value_scale:.3e})",
+            achieved=err,
+        )
+
+
+def _piece_points(points: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Map breakpoints in z-coordinates into the s-coordinates of each half."""
+    lower, upper = [], []
+    for z in points:
+        if 0.0 < z < 0.5:
+            lower.append(math.sqrt(z))
+        elif 0.5 < z < 1.0:
+            upper.append(math.sqrt(1.0 - z))
+    return sorted(lower), sorted(upper)
+
+
+def integrate_unit_vec(
+    f: Callable[[float, float], np.ndarray],
+    rel_tol: float = DEFAULT_REL_TOL,
+    points: Sequence[float] = (),
+) -> np.ndarray:
+    """Integrate a vector-valued f over (0, 1) with endpoint substitutions.
+
+    ``f(z, one_minus_z)`` must return a 1-d array; the complement is passed
+    explicitly because near z = 1 it cannot be recovered from z without
+    catastrophic rounding.  Each half of (0, 1) is regularized with a
+    square-root substitution (z = s^2 near 0, 1 - z = s^2 near 1), which
+    flattens integrable endpoint singularities before QUADPACK sees them.
+    ``points`` are optional interior breakpoints in z.  All components
+    share one adaptive mesh.
+    """
+    lower_pts, upper_pts = _piece_points(points)
+
+    def lower(s: float) -> np.ndarray:
+        z = s * s
+        return 2.0 * s * f(z, 1.0 - z)
+
+    def upper(s: float) -> np.ndarray:
+        omz = s * s
+        return 2.0 * s * f(1.0 - omz, omz)
+
+    total = None
+    err_total = 0.0
+    for g, pts in ((lower, lower_pts), (upper, upper_pts)):
+        val, err = quad_vec(
+            g, 0.0, _SQRT_HALF,
+            epsabs=_ABS_FLOOR, epsrel=rel_tol,
+            points=pts or None, norm="max", limit=400,
+        )
+        total = val if total is None else total + val
+        err_total += err
+    _check_error(float(np.max(np.abs(total))), err_total, rel_tol, "unit-interval integral")
+    return total
+
+
+def quadpack_weight(prior, x: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+    """m_x by QUADPACK over z = u/(1+u), with e^{x^2/2} cancelled.
+
+    The integrands are scaled by their maximum over a 514-point z-scan,
+    and for |x| >= 8, where the weight concentrates at z near 1 on a
+    scale of about (6/x)^2, a breakpoint is put there.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("observation must be finite")
+    s_sq = np.linspace(1e-8, math.sqrt(0.5), 257) ** 2
+    scan_omz = np.concatenate([1.0 - s_sq, s_sq])
+    scan_u = np.concatenate([s_sq, 1.0 - s_sq]) / scan_omz
+    scan_log_base = prior.log_density_at(scan_u) - 1.5 * np.log(scan_omz)
+    half_x_sq = 0.5 * x * x
+    scale = float(np.max(scan_log_base - half_x_sq * scan_omz))
+    log_pi = prior.log_density
+
+    def integrand(z: float, one_minus: float) -> np.ndarray:
+        one_minus = max(one_minus, _TINY)
+        u = max(z, _TINY) / one_minus
+        log_w = float(log_pi(u)) - 1.5 * math.log(one_minus) - half_x_sq * one_minus - scale
+        # The cap is reachable only inside an integrable endpoint spike
+        # whose contribution the sqrt substitution already tames.
+        log_w = min(log_w, 700.0)
+        w = math.exp(log_w) if log_w > -745.0 else 0.0
+        return np.array([w, z * w])
+
+    points = (1.0 - min(0.25, 36.0 / (x * x)),) if abs(x) >= 8.0 else ()
+    den, num = integrate_unit_vec(integrand, rel_tol, points)
+    if den <= 0.0:
+        raise NumericError("shrinkage weight denominator underflowed")
+    return float(min(max(num / den, 0.0), 1.0))
 
 
 def integrate_unit(

@@ -173,6 +173,18 @@ class TestConditionOne:
             assert np.all(ratio <= cert.estimated_constant * (1.0 + 1e-9))
             assert np.all(ratio >= 1.0 / cert.estimated_constant * (1.0 - 1e-9))
 
+    @pytest.mark.parametrize(
+        "prior",
+        builtin_priors()
+        + [horseshoe_prior(1e-6, 10**4, 100), inverse_gamma_prior(0.5, 3.0, 1000, 50)],
+        ids=lambda p: f"{p.family}{dict(p.params)}",
+    )
+    def test_matches_row_by_row_loop(self, prior):
+        grid = ConditionGrid(u_max=1e5, n_u=300, n_a=17)
+        for g in (ConditionGrid(), grid):
+            expected = oracles.condition1_constant_by_row(prior, g)
+            assert check_condition1(prior, g).estimated_constant == expected
+
     def test_declared_ratio_violation_detected(self):
         from dataclasses import replace
 

@@ -9,8 +9,9 @@ from oracles import (
     integrate_half_line,
     integrate_tail,
     integrate_unit,
+    integrate_unit_vec,
 )
-from shrinktest.quadrature import QuadratureError, integrate_log_panels, integrate_unit_vec
+from shrinktest.quadrature import QuadratureError, integrate_log_panels
 
 
 class TestHalfLine:

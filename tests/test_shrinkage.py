@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ BUILTIN_PRIORS = hst.one_of(
     hst.floats(-2.0, 2.0).map(lambda e: exponential_prior(10.0**e, 1000, 50)),
     hst.tuples(hst.floats(0.5, 10.0), hst.floats(0.5, 10.0)).map(
         lambda ab: inverse_gamma_prior(ab[0], ab[1], 1000, 50)
+    ),
+)
+
+# Every built-in family at a sparsity tau = p/n log-uniform in [1e-8, 0.3];
+# the horseshoe takes tau as its own scale.
+SPARSITY = hst.floats(-8.0, math.log10(0.3)).map(lambda e: 10.0**e)
+SPARSE_PRIORS = hst.one_of(
+    SPARSITY.map(lambda tau: horseshoe_prior(tau, 10**8, tau * 10**8)),
+    hst.tuples(SPARSITY, hst.floats(-1.0, 1.5)).map(
+        lambda a: exponential_prior(10.0 ** a[1], 10**8, a[0] * 10**8)
+    ),
+    hst.tuples(SPARSITY, hst.floats(0.5, 10.0), hst.floats(0.5, 10.0)).map(
+        lambda a: inverse_gamma_prior(a[1], a[2], 10**8, a[0] * 10**8)
     ),
 )
 
@@ -118,11 +132,11 @@ class TestWeight:
 
 
 class TestFixedNodeKernel:
-    """The fast kernel against its adaptive fallback, and its invariants."""
+    """The fast kernel against its panel fallback and QUADPACK, and its invariants."""
 
     @settings(deadline=None, derandomize=True)
     @given(
-        prior=BUILTIN_PRIORS,
+        prior=hst.one_of(BUILTIN_PRIORS, SPARSE_PRIORS),
         xs=hst.lists(hst.floats(-300.0, 300.0), min_size=1, max_size=3),
     )
     def test_agrees_with_adaptive(self, prior, xs):
@@ -130,6 +144,8 @@ class TestFixedNodeKernel:
         fast = curve.weights(xs)
         slow = np.array([curve.adaptive_weight(x) for x in xs])
         assert np.max(np.abs(fast - slow)) <= 1e-9
+        quadpack = np.array([oracles.quadpack_weight(prior, x) for x in xs])
+        assert np.max(np.abs(fast - quadpack)) <= 1e-9
 
     def test_discontinuous_prior_falls_back_to_adaptive(self):
         curve = ShrinkageCurve(box_prior())
@@ -137,6 +153,39 @@ class TestFixedNodeKernel:
         fast = curve.weights(xs)
         assert curve.fallbacks == len(xs)
         assert np.array_equal(fast, [curve.adaptive_weight(x) for x in xs])
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 3.0, 10.0])
+    def test_box_prior_fallback_matches_mpmath(self, x):
+        # The density jumps at u = 0.1; mpmath takes it as a breakpoint.
+        curve = ShrinkageCurve(box_prior())
+        exact = oracles._mp_weight(lambda u: 10 if u < 0.1 else 0, x, 30, spike=0.1)
+        assert abs(curve.adaptive_weight(x) - exact) <= 1e-10
+
+    @pytest.mark.parametrize("rate", [0.01, 1.0, 10.0])
+    def test_exponential_matches_laplace_closed_form(self, rate):
+        # The exponential variance mixture is the Laplace prior.  At rates
+        # 1 and 10 the values from x = 150 on are fallbacks.
+        curve = ShrinkageCurve(exponential_prior(rate, 1000, 50))
+        xs = [0.0, 0.5, 5.0, 40.0, 150.0, 300.0]
+        exact = [oracles.laplace_weight(rate, x) for x in xs]
+        assert np.max(np.abs(curve.weights(xs) - exact)) <= 1e-12
+        assert np.max(np.abs([curve.adaptive_weight(x) for x in xs] - np.array(exact))) <= 1e-12
+
+    def test_laplace_oracle_matches_mpmath_quadrature(self):
+        for rate, x in ((0.01, 0.0), (1.0, 2.5), (10.0, 40.0)):
+            assert oracles.laplace_weight(rate, x) == pytest.approx(
+                oracles.mp_shrinkage_weight_exponential(rate, x), abs=1e-14
+            )
+
+    @pytest.mark.parametrize("prior", [box_prior(), exponential_prior(1.0, 1000, 50)],
+                             ids=["box", "exponential"])
+    def test_far_fallback_raises_no_warning(self, prior):
+        curve = ShrinkageCurve(prior)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = curve.weights([150.0, 200.0, 300.0])
+        assert curve.fallbacks == 3
+        assert np.all((m > 0.0) & (m <= 1.0)) and np.all(np.diff(m) >= 0.0)
 
     @pytest.mark.parametrize("prior", CURVE_PRIORS, ids=CURVE_IDS)
     def test_no_fallback_on_curve_priors(self, prior):
@@ -306,20 +355,6 @@ class TestDecisionThreshold:
         assert len({repr(r) for r in results}) == 1
 
 
-# Every built-in family at a sparsity tau = p/n log-uniform in [1e-8, 0.3];
-# the horseshoe takes tau as its own scale.
-SPARSITY = hst.floats(-8.0, math.log10(0.3)).map(lambda e: 10.0**e)
-SPARSE_PRIORS = hst.one_of(
-    SPARSITY.map(lambda tau: horseshoe_prior(tau, 10**8, tau * 10**8)),
-    hst.tuples(SPARSITY, hst.floats(-1.0, 1.5)).map(
-        lambda a: exponential_prior(10.0 ** a[1], 10**8, a[0] * 10**8)
-    ),
-    hst.tuples(SPARSITY, hst.floats(0.5, 10.0), hst.floats(0.5, 10.0)).map(
-        lambda a: inverse_gamma_prior(a[1], a[2], 10**8, a[0] * 10**8)
-    ),
-)
-
-
 class TestThresholdSearch:
     """The Newton search against the oracle bisection, and its cost."""
 
@@ -369,6 +404,15 @@ class TestThresholdSearch:
         assert curve.fallbacks > 0
         assert curve.fallbacks <= 20
         assert abs(curve.adaptive_weight(x_star) - 0.9) <= 1e-10
+
+    def test_fallback_search_matches_laplace_root(self):
+        # With lam = sqrt(2 rate) the Laplace closed form is
+        # m_x = 1 - lam / x up to terms of order e^{-(x - lam)^2 / 2}, so
+        # x*(0.9) = 10 lam = 10 sqrt(20) at rate 10 to double precision.
+        curve = ShrinkageCurve(exponential_prior(10.0, 10**4, 100))
+        root = 10.0 * math.sqrt(20.0)
+        assert oracles.laplace_weight(10.0, root) == pytest.approx(0.9, abs=1e-15)
+        assert abs(curve.decision_threshold(0.9) - root) <= 1e-13
 
 
 class TestLargeSignalThreshold:
