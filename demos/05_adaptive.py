@@ -16,7 +16,6 @@ from shrinktest import (
     adaptive_threshold_test,
     bayes_risk_bound,
     certified_constants,
-    horseshoe_family,
     horseshoe_prior,
     simple_count_estimator,
     verify_condition4,
@@ -31,7 +30,7 @@ rng = substream(seed=13)
 theta = np.zeros(n)
 theta[:p] = 5.0
 data = theta + rng.standard_normal(n)
-result = adaptive_threshold_test(horseshoe_family, data, 0.5)
+result = adaptive_threshold_test(data, 0.5)
 print(f"p_hat = {result.estimate.p_hat:.0f} (true p = {p}), "
       f"rejections = {result.decisions.n_rejections}")
 
@@ -46,7 +45,7 @@ print(json.dumps(report.to_record(), indent=2))
 # estimator-window constants C^u and zeta passed in.
 prior = horseshoe_prior(p / n, n, p)
 c, big_c = certified_constants(prior)
-risk = adaptive_bayes_risk_mc(horseshoe_family, model, 0.5, replicates=50, seed=13, threads=4)
+risk = adaptive_bayes_risk_mc(model, 0.5, replicates=50, seed=13, threads=4)
 bound = bayes_risk_bound(prior, model, 0.5, big_c, c, c_u=2.0, zeta=0.0)
 print(f"\nadaptive risk = {risk.bayes_risk:.2f} +- {risk.se('bayes_risk'):.2f}"
       f"  vs bound = {bound:.2f}")

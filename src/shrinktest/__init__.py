@@ -30,7 +30,6 @@ from .harness import (
 )
 from .priors import (
     ConditionCertificate,
-    ConditionGrid,
     DegenerateSparsityError,
     ScaleMixturePrior,
     certified_constants,

@@ -2,11 +2,11 @@
 
 The number of signals p is rarely known; the counting estimator
 p_hat = #{i : |X_i| >= sqrt(2 log n)} (floored at one) replaces it
-inside the prior before thresholding.  Verification utilities measure,
-by simulation, how often the estimator stays inside the window the
+inside the prior before thresholding: the horseshoe at tau = p_hat/n,
+the one plug-in rule here.  Verification utilities measure, by
+simulation, how often the estimator stays inside the window the
 adaptive risk guarantees require.  The adaptive guarantees are the risk
-module's bounds with the window constants passed in; the adaptive_*
-bound names below are kept as thin calls to them.
+module's bounds with the window constants passed in.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .priors import ScaleMixturePrior, horseshoe_prior
 from .rng import STREAM_ESTIMATOR, STREAM_TWO_GROUP, map_replicates, substream
 from .risk import RiskReport, _error_counts, standard_error
 from .shrinkage import ShrinkageCurve
-from .testing import DecisionVector, TwoGroupModel, threshold_test
+from .testing import DecisionVector, TwoGroupModel
 
 __all__ = [
     "SparsityEstimate",
@@ -37,7 +37,13 @@ __all__ = [
 ]
 
 Estimator = Callable[[np.ndarray], "SparsityEstimate"]
-PriorFamily = Callable[[int, float], ScaleMixturePrior]
+
+# The window verify_condition4 checks: the lower bound's exponent K, the
+# upper event's frequency slack in units of p_n/n, and the lower event's
+# required frequency.
+_K = 1.0
+_UPPER_SLACK = 10.0
+_LOWER_FREQUENCY = 0.95
 
 
 @dataclass(frozen=True)
@@ -77,28 +83,24 @@ class AdaptiveDecision:
     estimate: SparsityEstimate
 
 
-def adaptive_threshold_test(
-    prior_family: PriorFamily,
-    data,
-    alpha: float,
-    estimator: Estimator = simple_count_estimator,
-    p_override: float | None = None,
-) -> AdaptiveDecision:
-    """Estimate p from the data, build the prior at p_hat, and threshold.
+def _plug_in_threshold(n: int, p_hat: float, alpha: float) -> float:
+    """x*(alpha) of the plug-in prior horseshoe_family(n, p_hat), p_hat capped at n - 1."""
+    return ShrinkageCurve(horseshoe_family(n, min(p_hat, n - 1))).decision_threshold(alpha)
 
-    ``p_override`` pins the plug-in value (e.g. to the true p) so the
-    adaptive pipeline can be compared against the deterministic one.
+
+def adaptive_threshold_test(data, alpha: float) -> AdaptiveDecision:
+    """Estimate p by simple_count_estimator, plug it into the horseshoe, and threshold.
+
+    Rejects where |X_i| > x*(alpha) of horseshoe_family(n, p_hat); ties
+    keep the null, as in threshold_test.
     """
     data = np.asarray(data, dtype=float)
-    n = len(data)
-    if p_override is not None:
-        estimate = SparsityEstimate(float(p_override), "override", math.nan)
-    else:
-        estimate = estimator(data)
-    curve = ShrinkageCurve(prior_family(n, min(estimate.p_hat, n - 1)))
-    decisions = threshold_test(curve, data, alpha)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data must be finite")
+    estimate = simple_count_estimator(data)
+    x_star = _plug_in_threshold(len(data), estimate.p_hat, alpha)
     return AdaptiveDecision(
-        decisions=DecisionVector(decisions.decisions, alpha, "adaptive_threshold"),
+        decisions=DecisionVector(np.abs(data) > x_star, alpha, "adaptive_threshold"),
         estimate=estimate,
     )
 
@@ -172,17 +174,14 @@ def verify_condition4(
     replicates: int = 1000,
     seed: int = 0,
     threads: int = 1,
-    k_exponent: float = 1.0,
-    upper_margin: float = 10.0,
-    lower_target: float = 0.95,
 ) -> Condition4Report:
     """Estimate how often the estimator stays inside its guarantee window.
 
     The upper event is p_hat <= c_u p_n, required with frequency at least
-    1 - upper_margin * p_n / n (a finite-n surrogate for 1 - o(p_n/n));
-    the lower event is p_hat >= c_d p_n (n/p_n)^{-zeta}
-    e^{-capital_c_d sqrt(K log(n/p_n))}, required with frequency at least
-    lower_target.
+    1 - 10 p_n / n (a finite-n surrogate for 1 - o(p_n/n)); the lower
+    event is p_hat >= c_d p_n (n/p_n)^{-zeta}
+    e^{-capital_c_d sqrt(K log(n/p_n))} with K = 1, required with
+    frequency at least 0.95.
     """
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
@@ -191,7 +190,7 @@ def verify_condition4(
         c_d
         * model.p_n
         * (model.n / model.p_n) ** (-zeta)
-        * math.exp(-capital_c_d * math.sqrt(k_exponent * log_ratio))
+        * math.exp(-capital_c_d * math.sqrt(_K * log_ratio))
     )
     upper_cut = c_u * model.p_n
 
@@ -204,16 +203,16 @@ def verify_condition4(
     hits = np.array(map_replicates(one, replicates, threads), dtype=np.int64)
     n_upper, n_lower = int(hits[:, 0].sum()), int(hits[:, 1].sum())
     freq_upper, freq_lower = n_upper / replicates, n_lower / replicates
-    target_upper = 1.0 - upper_margin * model.p_n / model.n
+    target_upper = 1.0 - _UPPER_SLACK * model.p_n / model.n
     return Condition4Report(
         freq_upper=freq_upper,
         freq_lower=freq_lower,
         ci_upper=_wilson_interval(n_upper, replicates),
         ci_lower=_wilson_interval(n_lower, replicates),
         target_upper=target_upper,
-        target_lower=lower_target,
+        target_lower=_LOWER_FREQUENCY,
         passed_upper=freq_upper >= target_upper,
-        passed_lower=freq_lower >= lower_target,
+        passed_lower=freq_lower >= _LOWER_FREQUENCY,
         lower_bound_value=lower_bound,
         c_u=c_u,
         c_d=c_d,
@@ -229,18 +228,17 @@ def verify_condition4(
 # ---------------------------------------------------------------------------
 
 def adaptive_risk_replicates(
-    prior_family: PriorFamily,
     model: TwoGroupModel,
     alpha: float,
     replicates: int,
     seed: int,
-    estimator: Estimator = simple_count_estimator,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate (loss count, p_hat) of the plug-in pipeline.
 
-    Each replicate draws two-group data, re-estimates p, and counts its
-    false positives plus false negatives.  Thresholds are cached per
+    Each replicate draws two-group data, re-estimates p by
+    simple_count_estimator, and counts the false positives plus false
+    negatives of the plug-in cut.  Thresholds are cached per
     distinct p_hat, which the counting estimator keeps to a handful; the
     lock is held while a threshold is computed, so each distinct p_hat
     costs exactly one threshold whatever the thread count.
@@ -253,13 +251,12 @@ def adaptive_risk_replicates(
     def cut_for(p_hat: float) -> float:
         with lock:
             if p_hat not in cache:
-                curve = ShrinkageCurve(prior_family(model.n, min(p_hat, model.n - 1)))
-                cache[p_hat] = curve.decision_threshold(alpha)
+                cache[p_hat] = _plug_in_threshold(model.n, p_hat, alpha)
             return cache[p_hat]
 
     def one(rep: int) -> tuple[float, float]:
         x, signal_idx = model.sample(substream(seed, rep, STREAM_TWO_GROUP), model.n)
-        p_hat = estimator(x).p_hat
+        p_hat = simple_count_estimator(x).p_hat
         fp, fn = _error_counts(np.abs(x, out=x), signal_idx, cut_for(p_hat))
         return float(fp + fn), p_hat
 
@@ -268,18 +265,14 @@ def adaptive_risk_replicates(
 
 
 def adaptive_bayes_risk_mc(
-    prior_family: PriorFamily,
     model: TwoGroupModel,
     alpha: float,
     replicates: int,
     seed: int,
-    estimator: Estimator = simple_count_estimator,
     threads: int = 1,
 ) -> RiskReport:
     """Additive risk of the plug-in pipeline under two-group draws."""
-    losses, _ = adaptive_risk_replicates(
-        prior_family, model, alpha, replicates, seed, estimator, threads
-    )
+    losses, _ = adaptive_risk_replicates(model, alpha, replicates, seed, threads)
     return RiskReport(
         bayes_risk=float(losses.mean()),
         mc_standard_errors={"bayes_risk": standard_error(losses)},

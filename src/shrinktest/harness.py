@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .adaptive import adaptive_risk_replicates, horseshoe_family
+from .adaptive import adaptive_risk_replicates
 from .priors import ScaleMixturePrior, certified_constants, prior_from_config, prior_to_config
 from .risk import (
     _error_counts,
@@ -293,9 +293,25 @@ def append_mx_rows(table: ResultTable, prior: ScaleMixturePrior, xs) -> None:
     table.extend(x=xs, m_x=ms, posterior_mean=[m * x for m, x in zip(ms, xs)])
 
 
-def _repeat(count: int, **values) -> dict[str, list]:
-    """Columns holding one value in each of count rows, for ResultTable.extend."""
-    return {key: [value] * count for key, value in values.items()}
+def _write_replicates(table: ResultTable, base: dict, aggregate: dict, **per_replicate) -> None:
+    """One row per replicate, then the aggregate row.
+
+    Every row holds the base values.  The aggregate row holds each
+    per-replicate column's mean, its standard error under the table's
+    matching se_ column where there is one, and the aggregate values.
+    """
+    count = len(next(iter(per_replicate.values())))
+    table.extend(
+        row_type=["replicate"] * count, replicate=range(count),
+        **{key: [value] * count for key, value in base.items()},
+        **{key: values.tolist() for key, values in per_replicate.items()},
+    )
+    table.append(
+        row_type="aggregate", replicate=count, **base, **aggregate,
+        **{key: float(values.mean()) for key, values in per_replicate.items()},
+        **{f"se_{key}": standard_error(values) for key, values in per_replicate.items()
+           if f"se_{key}" in table.columns},
+    )
 
 
 def _run_risk_bayes(config: ExperimentConfig, table: ResultTable) -> None:
@@ -311,24 +327,12 @@ def _run_risk_bayes(config: ExperimentConfig, table: ResultTable) -> None:
         fp, fn = _error_counts(np.abs(x, out=x), signal_idx, x_star)
         return model.n * ((fp + fn) / config.draws)
 
-    risks = np.array(map_replicates(one, config.replicates, config.threads))
-    base = dict(n=model.n, p=model.p_n, alpha=config.alpha, x_star=x_star, seed=config.seed)
-    table.extend(
-        replicate=range(len(risks)), bayes_risk=risks.tolist(),
-        **_repeat(len(risks), row_type="replicate", **base),
-    )
-    table.append(
-        row_type="aggregate",
-        replicate=config.replicates,
-        type1=analytic.type1,
-        type2=analytic.type2,
-        bayes_risk=float(risks.mean()),
-        oracle_risk=oracle_risk(model),
-        bound=bound,
-        se_type1=0.0,
-        se_type2=0.0,
-        se_bayes_risk=standard_error(risks),
-        **base,
+    _write_replicates(
+        table,
+        dict(n=model.n, p=model.p_n, alpha=config.alpha, x_star=x_star, seed=config.seed),
+        dict(type1=analytic.type1, type2=analytic.type2, oracle_risk=oracle_risk(model),
+             bound=bound, se_type1=0.0, se_type2=0.0),
+        bayes_risk=np.array(map_replicates(one, config.replicates, config.threads)),
     )
 
 
@@ -350,28 +354,13 @@ def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:
         fdp, fnp = fdp_fnp_replicates(
             flat_signal(n, p, magnitude), x_star, config.replicates, config.seed, config.threads
         )
-        rsup = fdp + fnp
-        base = dict(
-            n=n, p=float(p), alpha=config.alpha, x_star=x_star,
-            magnitude=float(magnitude), seed=config.seed,
-        )
-        table.extend(
-            replicate=range(len(fdp)), fdr=fdp.tolist(), fnr=fnp.tolist(), rsup=rsup.tolist(),
-            **_repeat(len(fdp), row_type="replicate", **base),
-        )
-        table.append(
-            row_type="aggregate",
-            replicate=config.replicates,
-            type1=null_rejection_rate(x_star),
-            type2=miss_probability(x_star, magnitude),
-            fdr=float(fdp.mean()),
-            fnr=float(fnp.mean()),
-            rsup=float(rsup.mean()),
-            bound=bound,
-            se_fdr=standard_error(fdp),
-            se_fnr=standard_error(fnp),
-            se_rsup=standard_error(rsup),
-            **base,
+        _write_replicates(
+            table,
+            dict(n=n, p=float(p), alpha=config.alpha, x_star=x_star,
+                 magnitude=float(magnitude), seed=config.seed),
+            dict(type1=null_rejection_rate(x_star), type2=miss_probability(x_star, magnitude),
+                 bound=bound),
+            fdr=fdp, fnr=fnp, rsup=fdp + fnp,
         )
 
 
@@ -383,23 +372,14 @@ def _run_adaptive(config: ExperimentConfig, table: ResultTable) -> None:
         prior, model, config.alpha, big_c, c, c_u=config.c_u, zeta=config.zeta
     )
     losses, p_hats = adaptive_risk_replicates(
-        horseshoe_family, model, config.alpha,
-        replicates=config.replicates, seed=config.seed, threads=config.threads,
+        model, config.alpha, replicates=config.replicates, seed=config.seed,
+        threads=config.threads,
     )
-    base = dict(n=model.n, p=model.p_n, alpha=config.alpha, seed=config.seed)
-    table.extend(
-        replicate=range(len(losses)), p_hat=p_hats.tolist(), bayes_risk=losses.tolist(),
-        **_repeat(len(losses), row_type="replicate", **base),
-    )
-    table.append(
-        row_type="aggregate",
-        replicate=config.replicates,
-        p_hat=float(p_hats.mean()),
-        bayes_risk=float(losses.mean()),
-        oracle_risk=oracle_risk(model),
-        bound=bound,
-        se_bayes_risk=standard_error(losses),
-        **base,
+    _write_replicates(
+        table,
+        dict(n=model.n, p=model.p_n, alpha=config.alpha, seed=config.seed),
+        dict(oracle_risk=oracle_risk(model), bound=bound),
+        p_hat=p_hats, bayes_risk=losses,
     )
 
 

@@ -28,7 +28,6 @@ from .quadrature import DEFAULT_REL_TOL, QuadratureError, integrate_log_panels
 __all__ = [
     "ScaleMixturePrior",
     "ConditionCertificate",
-    "ConditionGrid",
     "DegenerateSparsityError",
     "horseshoe_prior",
     "exponential_prior",
@@ -140,30 +139,19 @@ class ConditionCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ConditionGrid:
-    """Grid used for the tail-ratio and lower-bound checks."""
+# The (a, u) grid of the tail-ratio and lower-bound checks: u geometric
+# from the check's onset to _U_MAX in _N_U points, a in [1, 2] in _N_A.
+_U_MAX = 1e4
+_N_U = 512
+_N_A = 16
 
-    u_max: float = 1e4
-    n_u: int = 512
-    n_a: int = 16
 
-    def __post_init__(self) -> None:
-        if self.u_max < 1e3:
-            raise ValueError("u_max must be >= 1e3")
-        if self.n_u < 256:
-            raise ValueError("need at least 256 geometric u points")
-        if self.n_a < 16:
-            raise ValueError("need at least 16 points covering a in [1, 2]")
+def _u_points(u_min: float) -> np.ndarray:
+    return np.geomspace(u_min, _U_MAX, _N_U)
 
-    def u_points(self, u_min: float) -> np.ndarray:
-        return np.geomspace(u_min, self.u_max, self.n_u)
 
-    def a_points(self) -> np.ndarray:
-        return np.linspace(1.0, 2.0, self.n_a)
-
-    def describe(self, u_min: float) -> dict:
-        return {"u_min": u_min, "u_max": self.u_max, "n_u": self.n_u, "n_a": self.n_a}
+def _grid_record(u_min: float) -> dict:
+    return {"u_min": u_min, "u_max": _U_MAX, "n_u": _N_U, "n_a": _N_A}
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +268,18 @@ def _checked_log_density(prior: ScaleMixturePrior, u: np.ndarray) -> np.ndarray:
     return vals
 
 
-def check_condition1(
-    prior: ScaleMixturePrior, grid: ConditionGrid | None = None
-) -> ConditionCertificate:
+def check_condition1(prior: ScaleMixturePrior) -> ConditionCertificate:
     """Certify that L(u) = pi(u) e^{bu} has a bounded tail ratio on the grid.
 
     The estimated constant is the largest two-sided ratio
-    max(L(au)/L(u), L(u)/L(au)) over a in [1, 2] and u in [u0, u_max].
+    max(L(au)/L(u), L(u)/L(au)) over 16 points a in [1, 2] and 512
+    geometric points u in [u0, 1e4].
     Against a declared ratio bound the check is direct; without one, the
     grid only refutes boundedness when the ratio keeps growing with u,
     so the top decade of the grid is compared against the rest.
     """
-    grid = grid or ConditionGrid()
-    u = grid.u_points(prior.rv_onset)
-    a = grid.a_points()
+    u = _u_points(prior.rv_onset)
+    a = np.linspace(1.0, 2.0, _N_A)
     b = prior.tail_rate
     log_pi = _checked_log_density(prior, u)
     col = a[:, None]  # one row per a; the row a = 1 cancels to 0 below
@@ -319,7 +305,7 @@ def check_condition1(
             )
     else:
         # Divergence test: a bounded ratio cannot keep growing in the tail.
-        top = u >= grid.u_max / 10.0
+        top = u >= _U_MAX / 10.0
         diverging = per_u[top].max() > per_u[~top].max() + math.log(2.0)
         satisfied = math.isfinite(estimated) and not diverging
         if not satisfied:
@@ -333,22 +319,19 @@ def check_condition1(
         satisfied=satisfied,
         estimated_constant=estimated,
         witness=witness,
-        grid=grid.describe(prior.rv_onset),
+        grid=_grid_record(prior.rv_onset),
     )
 
 
-def check_condition1_lower(
-    prior: ScaleMixturePrior, grid: ConditionGrid | None = None
-) -> ConditionCertificate:
-    """Certify the tail lower bound C' pi(u) >= tau^K e^{-b'u} on [u_*, u_max].
+def check_condition1_lower(prior: ScaleMixturePrior) -> ConditionCertificate:
+    """Certify the tail lower bound C' pi(u) >= tau^K e^{-b'u} on [u_*, 1e4].
 
     The estimated constant is the smallest workable C'; with a declared
     C' the inequality is checked pointwise on that grid.
     """
     if prior.lower_rate is None or prior.lower_exponent is None:
         raise ValueError("prior does not declare lower-bound constants b' and K")
-    grid = grid or ConditionGrid()
-    u = grid.u_points(prior.lower_onset)
+    u = _u_points(prior.lower_onset)
     log_pi = _checked_log_density(prior, u)
     log_rhs = prior.lower_exponent * math.log(prior.tau) - prior.lower_rate * u
     # Smallest C' making C' pi(u) >= rhs everywhere on the grid.
@@ -371,7 +354,7 @@ def check_condition1_lower(
         satisfied=satisfied,
         estimated_constant=prior.lower_scale if prior.lower_scale is not None else c_min,
         witness=witness,
-        grid=grid.describe(prior.lower_onset),
+        grid=_grid_record(prior.lower_onset),
     )
 
 
@@ -451,13 +434,11 @@ def certified_constants(prior: ScaleMixturePrior) -> tuple[float, float]:
     return check_condition2(prior).estimated_constant, check_condition3(prior).estimated_constant
 
 
-def certify_prior(
-    prior: ScaleMixturePrior, grid: ConditionGrid | None = None
-) -> list[ConditionCertificate]:
+def certify_prior(prior: ScaleMixturePrior) -> list[ConditionCertificate]:
     """Run all condition checks and return their certificates."""
     return [
-        check_condition1(prior, grid),
-        check_condition1_lower(prior, grid),
+        check_condition1(prior),
+        check_condition1_lower(prior),
         check_condition2(prior),
         check_condition3(prior),
     ]

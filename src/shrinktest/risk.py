@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _RATE_SLACK = 1e-12
+_BATCHES = 64  # two-group draws are split into this many substreams, whatever the thread count
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,9 @@ def null_rejection_rate(x_star: float) -> float:
     return 2.0 * float(norm.sf(x_star))
 
 
-def miss_probability(x_star: float, magnitude: float, sd: float = 1.0) -> float:
-    """Chance a signal of the given mean stays inside the cut."""
-    return float(norm.cdf((x_star - magnitude) / sd) - norm.cdf((-x_star - magnitude) / sd))
+def miss_probability(x_star: float, magnitude: float) -> float:
+    """Chance a signal of the given mean stays inside the cut under unit noise."""
+    return float(norm.cdf(x_star - magnitude) - norm.cdf(-x_star - magnitude))
 
 
 def bayes_risk_analytic(model: TwoGroupModel, x_star: float) -> RiskReport:
@@ -235,16 +236,15 @@ def calibrate_signal_offset(
     curve: ShrinkageCurve,
     alpha: float,
     n_grid: int = 256,
-    x_max: float | None = None,
 ) -> float:
     """Empirical additive constant for the separation rate.
 
-    Scans the weight on a grid, takes the smallest grid value T beyond
+    Scans the weight on a grid of [0, curve.search_cap()], takes the smallest grid value T beyond
     which m_x >= alpha throughout, and returns the exceedance of T over
     the declared sqrt(2K(u0+1) log(n/p)) term (floored at zero).  Raises
     NumericError when m_x is still below alpha at the top of the grid.
     """
-    x_max = x_max if x_max is not None else curve.search_cap()
+    x_max = curve.search_cap()
     grid = np.linspace(0.0, x_max, n_grid)
     vals = curve.weights(grid)
     below = np.flatnonzero(vals < alpha)
@@ -347,17 +347,17 @@ class TwoGroupComparison:
 
 
 def _two_group_counts(
-    model: TwoGroupModel, cuts: tuple[float, ...], draws: int, seed: int, threads: int, batches: int
+    model: TwoGroupModel, cuts: tuple[float, ...], draws: int, seed: int, threads: int
 ) -> tuple[np.ndarray, int]:
     """Per-cut (fp, fn) totals and the signal count over all batches."""
-    per_batch = split_draws(draws, batches)
+    per_batch = split_draws(draws, _BATCHES)
 
     def one(batch: int) -> list[int]:
         x, signal_idx = model.sample(substream(seed, batch, STREAM_TWO_GROUP), per_batch[batch])
         np.abs(x, out=x)
         return [len(signal_idx)] + [k for cut in cuts for k in _error_counts(x, signal_idx, cut)]
 
-    totals = np.array(map_replicates(one, batches, threads), dtype=np.int64).sum(axis=0)
+    totals = np.array(map_replicates(one, _BATCHES, threads), dtype=np.int64).sum(axis=0)
     return totals[1:].reshape(len(cuts), 2), int(totals[0])
 
 
@@ -387,10 +387,9 @@ def two_group_risk_mc(
     draws: int = 10**6,
     seed: int = 0,
     threads: int = 1,
-    batches: int = 64,
 ) -> RiskReport:
     """Monte Carlo additive risk of the cut x* under the two-group marginal."""
-    fp_fn, n_signal = _two_group_counts(model, (float(x_star),), draws, seed, threads, batches)
+    fp_fn, n_signal = _two_group_counts(model, (float(x_star),), draws, seed, threads)
     return _report_from_counts(model, int(fp_fn[0, 0]), int(fp_fn[0, 1]), n_signal, draws)
 
 
@@ -400,7 +399,6 @@ def oracle_comparison_mc(
     draws: int = 10**6,
     seed: int = 0,
     threads: int = 1,
-    batches: int = 64,
 ) -> TwoGroupComparison:
     """Risks of the threshold cut and the oracle cut on common draws.
 
@@ -411,7 +409,7 @@ def oracle_comparison_mc(
     is the difference of the rejection counts, fp - fn + n_signal.
     """
     cuts = (float(x_star), model.oracle_cutoff())
-    fp_fn, n_signal = _two_group_counts(model, cuts, draws, seed, threads, batches)
+    fp_fn, n_signal = _two_group_counts(model, cuts, draws, seed, threads)
     (fp0, fn0), (fp1, fn1) = fp_fn.tolist()
     thresh = _report_from_counts(model, fp0, fn0, n_signal, draws)
     oracle = _report_from_counts(model, fp1, fn1, n_signal, draws)

@@ -47,19 +47,13 @@ def map_replicates(
         raise ValueError("replicates must be >= 1")
     if threads <= 1 or replicates == 1:
         return [fn(i) for i in range(replicates)]
-    out: list[T] = [None] * replicates  # type: ignore[list-item]
-
-    def run(i: int) -> None:
-        out[i] = fn(i)
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(replicates)))
-    return out
+        return list(pool.map(fn, range(replicates)))
 
 
-def split_draws(total: int, batches: int) -> Sequence[int]:
+def split_draws(total: int, parts: int) -> Sequence[int]:
     """Deterministically split a draw budget into per-batch counts."""
-    if total < 1 or batches < 1:
-        raise ValueError("total and batches must be >= 1")
-    base, rem = divmod(total, batches)
-    return [base + (1 if i < rem else 0) for i in range(batches)]
+    if total < 1 or parts < 1:
+        raise ValueError("total and parts must be >= 1")
+    base, rem = divmod(total, parts)
+    return [base + (1 if i < rem else 0) for i in range(parts)]

@@ -10,7 +10,7 @@ p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import norm
@@ -52,36 +52,31 @@ class DecisionVector:
 @dataclass(frozen=True)
 class TwoGroupModel:
     """Reference mixture: with probability p_n/n a coordinate carries a
-    N(0, psi^2) signal, so its observation is marginally N(0, 1 + psi^2)."""
+    N(0, psi^2) signal, so its observation is marginally N(0, 1 + psi^2).
+
+    The signal variance is derived, psi^2 = log(n/p_n) / c_psi.
+    """
 
     n: int
     p_n: float
-    psi_sq: float
     c_psi: float
+    psi_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
         if not 0.0 < self.p_n < self.n:
             raise ValueError("p_n must lie in (0, n)")
-        if not self.psi_sq > 0.0:
-            raise ValueError("psi_sq must be positive")
         if not self.c_psi > 0.0:
             raise ValueError("c_psi must be positive")
-        expected = math.log(self.n / self.p_n) / self.c_psi
-        if not math.isclose(self.psi_sq, expected, rel_tol=1e-9):
-            raise ValueError(
-                f"inconsistent model: psi_sq={self.psi_sq!r} but "
-                f"log(n/p_n)/c_psi={expected!r}"
-            )
+        if self.n < 2:
+            raise ValueError("n must be at least 2")
+        psi_sq = math.log(self.n / self.p_n) / self.c_psi
+        if not psi_sq > 0.0:
+            raise ValueError(f"psi_sq = log(n/p_n)/c_psi must be positive; got c_psi={self.c_psi!r}")
+        object.__setattr__(self, "psi_sq", psi_sq)
 
     @classmethod
     def from_c_psi(cls, n: int, p_n: float, c_psi: float) -> "TwoGroupModel":
-        if not 0.0 < p_n < n:
-            raise ValueError("p_n must lie in (0, n)")
-        if not c_psi > 0.0:
-            raise ValueError("c_psi must be positive")
-        return cls(n=n, p_n=p_n, psi_sq=math.log(n / p_n) / c_psi, c_psi=c_psi)
+        return cls(n=n, p_n=p_n, c_psi=c_psi)
 
     @property
     def signal_fraction(self) -> float:

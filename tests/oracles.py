@@ -204,20 +204,21 @@ def laplace_weight(rate: float, x: float, dps: int = 40) -> float:
         return float(1 - lam * (a - b) / ((a + b) * xv))
 
 
-def condition1_constant_by_row(prior, grid) -> float:
+def condition1_constant_by_row(prior) -> float:
     """C1-rv's largest two-sided tail ratio, one row of a at a time.
 
-    The row a = 1 is skipped (it is exactly 0); each other row evaluates
-    the log-density alone, with the same arithmetic and noise floor as
-    check_condition1.
+    The grid is check_condition1's: 512 geometric u in [u0, 1e4] and 16
+    a in [1, 2].  The row a = 1 is skipped (it is exactly 0); each other
+    row evaluates the log-density alone, with the same arithmetic and
+    noise floor as check_condition1.
     """
-    u = grid.u_points(prior.rv_onset)
+    u = np.geomspace(prior.rv_onset, 1e4, 512)
     b = prior.tail_rate
     log_pi = prior.log_density_at(u)
     log_l = log_pi + b * u
     eps = np.finfo(float).eps
     worst = 0.0
-    for ai in grid.a_points():
+    for ai in np.linspace(1.0, 2.0, 16):
         if ai == 1.0:
             continue
         log_pi_a = prior.log_density_at(ai * u)

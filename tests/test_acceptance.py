@@ -20,7 +20,6 @@ from shrinktest import (
     exponential_prior,
     fdr_fnr_mc,
     flat_signal,
-    horseshoe_family,
     horseshoe_prior,
     inverse_gamma_prior,
     large_signal_threshold,
@@ -171,9 +170,7 @@ def test_criterion_6_adaptive_pipeline(desk):
         simple_count_estimator, model, c_u=2.0, zeta=0.0,
         replicates=1000, seed=SEED, threads=8,
     )
-    risk = adaptive_bayes_risk_mc(
-        horseshoe_family, model, 0.5, replicates=200, seed=SEED, threads=8
-    )
+    risk = adaptive_bayes_risk_mc(model, 0.5, replicates=200, seed=SEED, threads=8)
     bound = bayes_risk_bound(prior, model, 0.5, big_c, c, c_u=2.0, zeta=0.0)
     elapsed = time.monotonic() - start
     ok = cond4.passed and risk.bayes_risk <= bound * SLACK and elapsed <= 300.0
@@ -202,8 +199,7 @@ def test_criterion_7_determinism(desk):
                               replicates=200, seed=SEED, threads=threads)
         ),
         "adaptive_mc": lambda threads: repr(
-            adaptive_bayes_risk_mc(horseshoe_family, model, 0.5,
-                                   replicates=20, seed=SEED, threads=threads)
+            adaptive_bayes_risk_mc(model, 0.5, replicates=20, seed=SEED, threads=threads)
         ),
     }
     failures = []

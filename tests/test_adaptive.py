@@ -111,18 +111,19 @@ class TestVerifyCondition4:
 
 class TestAdaptiveThresholdTest:
     def test_zero_data_accepts_everything(self):
-        result = adaptive_threshold_test(horseshoe_family, np.zeros(500), 0.5)
+        result = adaptive_threshold_test(np.zeros(500), 0.5)
         assert result.estimate.p_hat == 1.0
         assert result.decisions.n_rejections == 0
         assert result.decisions.procedure_id == "adaptive_threshold"
 
-    def test_override_matches_deterministic_pipeline(self):
+    def test_matches_deterministic_pipeline_at_p_hat(self):
         data = substream(21, 0, 0).standard_normal(400) * 3.0
-        forced = adaptive_threshold_test(horseshoe_family, data, 0.5, p_override=40.0)
-        fixed_curve = ShrinkageCurve(horseshoe_prior(0.1, 400, 40.0))
-        reference = threshold_test(fixed_curve, data, 0.5)
-        np.testing.assert_array_equal(forced.decisions.decisions, reference.decisions)
-        assert forced.estimate.rule_id == "override"
+        result = adaptive_threshold_test(data, 0.5)
+        estimate = simple_count_estimator(data)
+        assert result.estimate == estimate and estimate.p_hat > 1.0
+        reference = threshold_test(ShrinkageCurve(horseshoe_family(400, estimate.p_hat)), data, 0.5)
+        np.testing.assert_array_equal(result.decisions.decisions, reference.decisions)
+        assert 0 < result.decisions.n_rejections < 400
 
 
 class TestAdaptiveBounds:
@@ -167,8 +168,8 @@ class TestAdaptiveBounds:
 
 class TestAdaptiveRiskMc:
     def test_deterministic_across_threads(self, model):
-        a = adaptive_bayes_risk_mc(horseshoe_family, model, 0.5, replicates=10, seed=8, threads=1)
-        b = adaptive_bayes_risk_mc(horseshoe_family, model, 0.5, replicates=10, seed=8, threads=4)
+        a = adaptive_bayes_risk_mc(model, 0.5, replicates=10, seed=8, threads=1)
+        b = adaptive_bayes_risk_mc(model, 0.5, replicates=10, seed=8, threads=4)
         assert a == b
 
     def test_one_threshold_per_distinct_p_hat(self, model, monkeypatch):
@@ -184,9 +185,7 @@ class TestAdaptiveRiskMc:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            _, p_hats = adaptive_risk_replicates(
-                horseshoe_family, model, 0.5, 200, seed=3, threads=8
-            )
+            _, p_hats = adaptive_risk_replicates(model, 0.5, 200, seed=3, threads=8)
         finally:
             sys.setswitchinterval(switch)
         assert len(calls) == len(np.unique(p_hats))
@@ -195,5 +194,5 @@ class TestAdaptiveRiskMc:
     def test_close_to_plug_in_truth(self, model):
         # With the estimator pinned near the truth the adaptive risk sits in
         # the same range as the non-adaptive one.
-        report = adaptive_bayes_risk_mc(horseshoe_family, model, 0.5, replicates=30, seed=8)
+        report = adaptive_bayes_risk_mc(model, 0.5, replicates=30, seed=8)
         assert 50.0 <= report.bayes_risk <= 150.0

@@ -1,10 +1,11 @@
-"""Frozen output bytes of the README commands, of one config per kind and
-of the decision threshold.
+"""Frozen output bytes of the README commands, of one config per kind, of
+the decision threshold and of the demos.
 
 Each case runs a CLI command (or `simulate` on an INI written here, or
-`decision_threshold` over a grid of priors and alphas) and compares its
-output with the file of the same name under `tests/golden/`, byte for
-byte.  The files pin what a refactor must not move: every float is
+`decision_threshold` over a grid of priors and alphas, or a demo script
+in a fresh directory) and compares its output with the file of the same
+name under `tests/golden/`, byte for byte; a demo's output is its
+stdout, in `demo_<number>.txt`.  The files pin what a refactor must not move: every float is
 written by `repr`, so a change in the last bit of a bound, a risk, a
 threshold or a Monte Carlo mean shows up here.  `simulate` runs each
 config at threads 1 and 4 against one file, with the `# threads =` echo
@@ -21,8 +22,11 @@ output, with
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -32,6 +36,8 @@ from shrinktest.cli import EXIT_OK, main
 from shrinktest.rng import substream
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+ROOT = GOLDEN_DIR.parent.parent
+DEMOS = {f"demo_{path.name[:2]}.txt": path for path in sorted((ROOT / "demos").glob("*.py"))}
 
 PRIOR = "horseshoe:tau=0.01,n=10000,p=100"
 
@@ -214,6 +220,14 @@ def _simulate(workdir: pathlib.Path, kind: str, threads: int) -> bytes:
     return re.sub(rb"(?m)^# threads = \d+$", b"# threads = _", raw)
 
 
+def _demo(workdir: pathlib.Path, name: str) -> bytes:
+    """Stdout of a demo run in workdir, where it writes its files, on this checkout's sources."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, str(DEMOS[name])], cwd=workdir, capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    return run.stdout
+
+
 def _golden(name: str) -> bytes:
     return (GOLDEN_DIR / name).read_bytes()
 
@@ -241,6 +255,11 @@ def test_threshold_bytes():
     assert _thresholds() == _golden("thresholds.json")
 
 
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_stdout_bytes(name, tmp_path):
+    assert _demo(tmp_path, name) == _golden(name)
+
+
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_simulate_output_bytes(kind, threads, tmp_path):
@@ -266,6 +285,9 @@ def _regenerate() -> None:
         outputs.update(
             {f"simulate_{kind}.csv": _simulate(workdir, kind, 1) for kind in CONFIGS}
         )
+        for name in DEMOS:
+            (workdir / name).mkdir()
+            outputs[name] = _demo(workdir / name, name)
     for name, data in sorted(outputs.items()):
         (GOLDEN_DIR / name).write_bytes(data)
         print(f"wrote {GOLDEN_DIR / name} ({len(data)} bytes)")

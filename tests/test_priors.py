@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from shrinktest import (
-    ConditionGrid,
     DegenerateSparsityError,
     QuadratureError,
     ScaleMixturePrior,
@@ -165,8 +164,8 @@ class TestConditionOne:
     def test_certified_ratio_bounds_grid(self, prior):
         # Restates the two-sided ratio bound at grid level.
         cert = check_condition1(prior)
-        grid = ConditionGrid()
-        u = grid.u_points(prior.rv_onset)
+        assert cert.grid == {"u_min": prior.rv_onset, "u_max": 1e4, "n_u": 512, "n_a": 16}
+        u = np.geomspace(prior.rv_onset, 1e4, 512)
         log_l = prior.log_density_at(u) + prior.tail_rate * u
         for a in (1.25, 1.75, 2.0):
             ratio = np.exp(prior.log_density_at(a * u) + prior.tail_rate * a * u - log_l)
@@ -180,10 +179,8 @@ class TestConditionOne:
         ids=lambda p: f"{p.family}{dict(p.params)}",
     )
     def test_matches_row_by_row_loop(self, prior):
-        grid = ConditionGrid(u_max=1e5, n_u=300, n_a=17)
-        for g in (ConditionGrid(), grid):
-            expected = oracles.condition1_constant_by_row(prior, g)
-            assert check_condition1(prior, g).estimated_constant == expected
+        expected = oracles.condition1_constant_by_row(prior)
+        assert check_condition1(prior).estimated_constant == expected
 
     def test_declared_ratio_violation_detected(self):
         from dataclasses import replace
@@ -207,14 +204,6 @@ class TestConditionOne:
         )
         with pytest.raises(ValueError, match="lower-bound constants"):
             check_condition1_lower(prior)
-
-    def test_grid_spec_validation(self):
-        with pytest.raises(ValueError):
-            ConditionGrid(n_a=8)
-        with pytest.raises(ValueError):
-            ConditionGrid(n_u=100)
-        with pytest.raises(ValueError):
-            ConditionGrid(u_max=100.0)
 
     def test_certify_prior_returns_all_four(self):
         certs = certify_prior(exponential_prior(1.0, 1000, 50))

@@ -344,7 +344,7 @@ class TestCountedKernels:
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_adaptive_losses_match_full_masks(self, model, threads):
-        got = adaptive_risk_replicates(horseshoe_family, model, 0.5, 6, seed=2, threads=threads)
+        got = adaptive_risk_replicates(model, 0.5, 6, seed=2, threads=threads)
         want = oracles.adaptive_losses_full_mask(horseshoe_family, model, 0.5, 6, seed=2)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)

@@ -75,21 +75,23 @@ class TestTwoGroupModel:
     def test_from_c_psi_relation(self):
         model = TwoGroupModel.from_c_psi(10**4, 100, 1.0)
         assert model.psi_sq == pytest.approx(math.log(100.0))
+        assert model.psi_sq == math.log(10**4 / 100) / 1.0
+        assert model == TwoGroupModel(10**4, 100, 1.0)
         assert model.signal_fraction == pytest.approx(0.01)
         assert model.alt_sd == pytest.approx(math.sqrt(1.0 + math.log(100.0)))
 
     def test_from_psi_sq_relation(self):
         model = TwoGroupModel.from_c_psi(10**4, 100, math.log(100.0) / 4.0)
         assert model.psi_sq == pytest.approx(4.0)
+        assert model.psi_sq == math.log(10**4 / 100) / model.c_psi
         assert model.c_psi == pytest.approx(math.log(100.0) / 4.0)
 
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            TwoGroupModel(n=100, p_n=10, psi_sq=5.0, c_psi=1.0)
-
     def test_degenerate_psi_rejected(self):
-        with pytest.raises(ValueError):
-            TwoGroupModel(n=100, p_n=10, psi_sq=0.0, c_psi=1.0)
+        # c_psi = inf gives psi_sq = 0: no signal variance.
+        with pytest.raises(ValueError, match="psi_sq"):
+            TwoGroupModel.from_c_psi(100, 10, math.inf)
+        with pytest.raises(TypeError):
+            TwoGroupModel(n=100, p_n=10, c_psi=1.0, psi_sq=5.0)
 
     def test_invalid_sparsity(self):
         with pytest.raises(ValueError):
