@@ -58,14 +58,17 @@ def _read_observations(path: str) -> list[float]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     try:
-        return [float(line) for line in lines if line.strip()]
+        return list(map(float, lines))  # float ignores surrounding whitespace
     except ValueError:
-        for number, line in enumerate(lines, 1):
+        pass  # a blank line or a bad one: read line by line
+    values = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
             try:
-                float(line.strip() or "0")  # blank lines are skipped, not errors
+                values.append(float(line))
             except ValueError:
                 raise ValueError(f"{path}, line {number}: not a number: {line.strip()!r}") from None
-        raise
+    return values
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -200,7 +203,7 @@ def _cmd_risk_bayes(args) -> int:
 def _aggregate_row(config: ExperimentConfig) -> dict:
     """The aggregate row of run_experiment(config), keyed by column."""
     table = run_experiment(config)
-    return dict(zip(table.columns, table.rows[-1]))
+    return {name: table.column(name)[-1] for name in table.columns}
 
 
 def _cmd_risk_minimax(args) -> int:

@@ -232,14 +232,23 @@ def load_config(path: str) -> ExperimentConfig:
 
 @dataclass
 class ResultTable:
-    """Column-ordered rows plus the config echo written as CSV comments."""
+    """Named columns of cells plus the config echo written as CSV comments."""
 
     columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
     meta: dict[str, str] = field(default_factory=dict)
+    # One list of cells per column, in the order of `columns`.
+    _cells: list[list] = field(init=False, repr=False)
     # Writers for a column whose cells all have one of these exact types, keyed by
     # the column's set of types; they give _format's text without its checks.
     _PLAIN = {(float,): float.__repr__, (int,): int.__repr__, (str,): str}
+
+    def __post_init__(self) -> None:
+        self._cells = [[] for _ in self.columns]
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The cells row by row (a copy; extend the table through `extend`)."""
+        return list(zip(*self._cells))
 
     def extend(self, **columns) -> None:
         """Append one row per position of equal-length columns; absent columns are blank."""
@@ -249,8 +258,9 @@ class ResultTable:
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"columns differ in length: {sorted(lengths)}")
-        blank = ("",) * (lengths.pop() if lengths else 0)
-        self.rows.extend(zip(*(columns.get(c, blank) for c in self.columns)))
+        blank = [""] * (lengths.pop() if lengths else 0)
+        for name, cells in zip(self.columns, self._cells):
+            cells.extend(columns.get(name, blank))
 
     def append(self, **values) -> None:
         self.extend(**{key: (value,) for key, value in values.items()})
@@ -266,9 +276,8 @@ class ResultTable:
     def csv_text(self) -> str:
         lines = [f"# {key} = {self.meta[key]}" for key in sorted(self.meta)]
         lines.append(",".join(self.columns))
-        columns = zip(*self.rows)
-        cells = [map(self._PLAIN.get(tuple({*map(type, c)}), self._format), c) for c in columns]
-        lines.extend(map(",".join, zip(*cells)))
+        texts = [map(self._PLAIN.get(tuple({*map(type, c)}), self._format), c) for c in self._cells]
+        lines.extend(map(",".join, zip(*texts)))
         return "\n".join(lines) + "\n"
 
     def csv_bytes(self) -> bytes:
@@ -279,11 +288,11 @@ class ResultTable:
             fh.write(self.csv_text())
 
     def column(self, name: str, row_type: str | None = None) -> list:
-        idx = self.columns.index(name)
+        cells = self._cells[self.columns.index(name)]
         if row_type is not None and "row_type" in self.columns:
-            tidx = self.columns.index("row_type")
-            return [r[idx] for r in self.rows if r[tidx] == row_type]
-        return [r[idx] for r in self.rows]
+            types = self._cells[self.columns.index("row_type")]
+            return [cell for cell, t in zip(cells, types) if t == row_type]
+        return list(cells)
 
 
 def append_mx_rows(table: ResultTable, prior: ScaleMixturePrior, xs) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .priors import ScaleMixturePrior
 from .quadrature import NumericError
@@ -122,12 +122,12 @@ def flat_signal(n: int, p: int, magnitude: float) -> SparseSignal:
 
 def null_rejection_rate(x_star: float) -> float:
     """Per-test type-I rate of the cut: 2 Phi(-x*) under N(0, 1)."""
-    return 2.0 * float(norm.sf(x_star))
+    return 2.0 * float(ndtr(-x_star))
 
 
 def miss_probability(x_star: float, magnitude: float) -> float:
     """Chance a signal of the given mean stays inside the cut under unit noise."""
-    return float(norm.cdf(x_star - magnitude) - norm.cdf(-x_star - magnitude))
+    return float(ndtr(x_star - magnitude) - ndtr(-x_star - magnitude))
 
 
 def bayes_risk_analytic(model: TwoGroupModel, x_star: float) -> RiskReport:
@@ -139,7 +139,7 @@ def bayes_risk_analytic(model: TwoGroupModel, x_star: float) -> RiskReport:
     if x_star < 0.0:
         raise ValueError("x_star must be nonnegative")
     type1 = null_rejection_rate(x_star)
-    type2 = 1.0 - 2.0 * float(norm.sf(x_star / model.alt_sd))
+    type2 = 1.0 - 2.0 * float(ndtr(-x_star / model.alt_sd))
     risk = (model.n - model.p_n) * type1 + model.p_n * type2
     return RiskReport(
         type1=type1,
@@ -151,7 +151,7 @@ def bayes_risk_analytic(model: TwoGroupModel, x_star: float) -> RiskReport:
 
 def oracle_risk(model: TwoGroupModel) -> float:
     """Leading term of the optimal additive risk: p_n (2 Phi(sqrt(c_psi)) - 1)."""
-    return model.p_n * (2.0 * float(norm.cdf(math.sqrt(model.c_psi))) - 1.0)
+    return model.p_n * (2.0 * float(ndtr(math.sqrt(model.c_psi))) - 1.0)
 
 
 def _tail_term(prior: ScaleMixturePrior, c_psi: float, zeta: float = 0.0) -> float:
@@ -159,7 +159,7 @@ def _tail_term(prior: ScaleMixturePrior, c_psi: float, zeta: float = 0.0) -> flo
         raise ValueError("prior does not declare the tail exponent K")
     k, u0 = prior.lower_exponent, prior.rv_onset
     arg = math.sqrt(2.0 * k * (u0 + 1.0) * (1.0 + zeta) * c_psi)
-    return 2.0 * float(norm.cdf(arg)) - 1.0
+    return 2.0 * float(ndtr(arg)) - 1.0
 
 
 def bayes_risk_bound(
@@ -216,7 +216,7 @@ def minimax_risk_bound(
     else:
         ratio = lam * alpha * cond2_constant / (8.0 * c_u * cond3_constant * math.sqrt(math.pi))
         fdr_term = 1.0 / (1.0 + ratio)
-    return fdr_term + float(norm.cdf(-v_n))
+    return fdr_term + float(ndtr(-v_n))
 
 
 def separation_rate(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .shrinkage import ShrinkageCurve
 
@@ -137,7 +137,7 @@ def benjamini_hochberg(data, q: float) -> DecisionVector:
         raise ValueError("q must lie in (0, 1)")
     data = np.asarray(data, dtype=float)
     n = len(data)
-    pvals = 2.0 * norm.sf(np.abs(data))
+    pvals = 2.0 * ndtr(-np.abs(data))
     order = np.argsort(pvals, kind="stable")
     ranked = pvals[order]
     passing = ranked <= q * (np.arange(1, n + 1) / n)

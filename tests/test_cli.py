@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +35,21 @@ def compute_calls(monkeypatch):
     count(ShrinkageCurve, "decision_threshold")
     count(cli, "verify_condition4")
     return calls
+
+
+def test_import_leaves_scipy_stats_out():
+    # The library needs only scipy.special; scipy.stats would double a cold start.
+    import shrinktest
+
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(shrinktest.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import shrinktest, sys; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestParserReuse:

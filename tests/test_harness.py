@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -375,11 +376,12 @@ def _row_format(value) -> str:
     return str(value)
 
 
-def _row_csv_text(table: ResultTable) -> str:
-    """The row-by-row CSV writer: one _row_format call per cell."""
+def _row_csv_text(table: ResultTable, rows: list[tuple]) -> str:
+    """The row-by-row CSV writer: one _row_format call per cell of `rows`,
+    under the header and config echo of `table`."""
     lines = [f"# {key} = {table.meta[key]}" for key in sorted(table.meta)]
     lines.append(",".join(table.columns))
-    lines += [",".join(_row_format(v) for v in row) for row in table.rows]
+    lines += [",".join(_row_format(v) for v in row) for row in rows]
     return "".join(line + "\n" for line in lines)
 
 
@@ -421,7 +423,7 @@ class TestResultTable:
         assert len(table.rows) == (n_rows if given_columns else 0)
         for name, cells in given_columns.items():
             assert table.column(name) == cells
-        assert table.csv_text() == _row_csv_text(table)
+        assert table.csv_text() == _row_csv_text(table, table.rows)
 
     def test_append_is_one_row_of_extend(self):
         appended, extended = ResultTable(["a", "b", "c"]), ResultTable(["a", "b", "c"])
@@ -448,24 +450,61 @@ class TestResultTable:
         assert table.rows == []
         assert table.csv_text() == "# k = v\na,b\n"
 
-    def test_large_test_command_matches_row_writer(self, tmp_path):
-        # The golden test.csv has 500 lines; this run has 1e4, with values
-        # whose repr takes every form (exponents, -0.0, integers as floats).
-        data = substream(23).standard_normal(10_000) * 3.0
-        data[:4] = [-0.0, 1e-300, 123456789.0, -7.0]
-        data[4:200] *= 1e6
+    @staticmethod
+    def _check_test_command(tmp_path, text: str, data) -> list[tuple]:
+        """Run `test` on a file holding `text`; its CSV must be the row writer's
+        CSV of `data`. Returns the oracle rows."""
         source = tmp_path / "data.txt"
-        source.write_text("".join(f"{float(v)!r}\n" for v in data), encoding="utf-8")
+        source.write_bytes(text.encode("utf-8"))
         out = tmp_path / "test.csv"
         prior = "horseshoe:tau=0.1,n=10000,p=1000"
         code = main(["test", "--prior", prior, "--alpha", "0.5",
                      "--input", str(source), "--out", str(out)])
         assert code == EXIT_OK
         x_star = ShrinkageCurve(parse_prior_spec(prior)).decision_threshold(0.5)
-        oracle = ResultTable(["index", "x", "decision"])
-        oracle.rows = [(i, float(x), int(abs(x) > x_star)) for i, x in enumerate(data)]
-        assert 0 < sum(r[2] for r in oracle.rows) < len(data)
-        assert out.read_bytes() == _row_csv_text(oracle).encode("utf-8")
+        rows = [(i, float(x), int(abs(x) > x_star)) for i, x in enumerate(data)]
+        oracle = _row_csv_text(ResultTable(["index", "x", "decision"]), rows)
+        assert out.read_bytes() == oracle.encode("utf-8")
+        return rows
+
+    def test_large_test_command_matches_row_writer(self, tmp_path):
+        # The golden test.csv has 500 lines; this run has 1e4, with values
+        # whose repr takes every form (exponents, -0.0, integers as floats).
+        data = substream(23).standard_normal(10_000) * 3.0
+        data[:4] = [-0.0, 1e-300, 123456789.0, -7.0]
+        data[4:200] *= 1e6
+        rows = self._check_test_command(tmp_path, "".join(f"{float(v)!r}\n" for v in data), data)
+        assert 0 < sum(r[2] for r in rows) < len(data)
+
+    @pytest.mark.parametrize("blank_lines", [False, True], ids=["one-pass", "line-by-line"])
+    def test_test_command_reads_padded_lines_as_floats(self, tmp_path, blank_lines):
+        # Without blank lines the reader parses the file in one pass; a blank
+        # line sends it line by line. Both must read the same numbers.
+        lines = ["0.5", "\t-3.25", "  1e-3  ", "7\t ", "-0.0", " 12.0"]
+        if blank_lines:
+            lines[2:2] = ["", "   ", "\t"]
+        data = [float(line) for line in lines if line.strip()]
+        rows = self._check_test_command(tmp_path, "".join(line + "\r\n" for line in lines), data)
+        assert rows[2][1:] == (0.001, 0) and rows[-1][1:] == (12.0, 1)
+
+    def test_extend_and_csv_make_no_objects_per_row(self):
+        # Cells are stored by column, so 1e4 rows add no GC-tracked tuples.
+        n = 10_000
+        columns = dict(index=list(range(n)), x=[0.5 * i for i in range(n)],
+                       decision=[i % 2 for i in range(n)])
+        table = ResultTable(list(columns))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            table.extend(**columns)
+            text = table.csv_text()
+            grown = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert text.count("\n") == n + 1
+        assert grown < 100
 
 
 class TestEmitPlotScript:
