@@ -293,22 +293,31 @@ def fdp_fnp_replicates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate (FDP, FNP) arrays of the cut x* for a fixed signal.
 
-    Each replicate draws unit Gaussian noise on its own (seed, replicate)
-    stream, so results do not depend on scheduling; the false-discovery
-    proportion uses the max(rejections, 1) convention.  The signal is
-    added on its support only; off it the data are the noise itself.
+    Each replicate draws on its own (seed, replicate, STREAM_NOISE)
+    stream, so results do not depend on scheduling, and draws only the
+    counts FDP and FNP depend on: first p_n unit normals, added to
+    signal.values in support order (the signal hits), then one
+    binomial(n - p_n, 2 Phi(-x*)) count of the nulls beyond the cut
+    (the false positives).  The nulls are i.i.d., so this is exact in
+    distribution, and a replicate's cost does not depend on n.  The
+    false-discovery proportion uses the max(rejections, 1) convention.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if not x_star >= 0.0:
+        raise ValueError(f"x_star must be nonnegative, got {x_star!r}")
     p_n = signal.p_n
     if p_n == 0:
         raise ValueError("signal has no support: FNR is undefined")
+    n_null, q = signal.n - p_n, null_rejection_rate(x_star)
 
     def one(rep: int) -> tuple[float, float]:
-        x = substream(seed, rep, STREAM_NOISE).standard_normal(signal.n)
-        x[signal.support] += signal.values
-        fp, fn = _error_counts(np.abs(x, out=x), signal.support, x_star)
-        return fp / max(fp + p_n - fn, 1), fn / p_n
+        rng = substream(seed, rep, STREAM_NOISE)
+        x = rng.standard_normal(p_n)
+        x += signal.values
+        hits = int(np.count_nonzero(np.abs(x, out=x) > x_star))
+        fp = int(rng.binomial(n_null, q))
+        return fp / max(fp + hits, 1), (p_n - hits) / p_n
 
     pairs = np.array(map_replicates(one, replicates, threads))
     return pairs[:, 0], pairs[:, 1]

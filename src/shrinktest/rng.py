@@ -7,6 +7,7 @@ how work is split across threads.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -33,6 +34,13 @@ def substream(seed: int, replicate: int = 0, stream: int = 0) -> np.random.Gener
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_replicates(
     fn: Callable[[int], T],
     replicates: int,
@@ -41,10 +49,12 @@ def map_replicates(
     """Evaluate fn(0..replicates-1), optionally on a thread pool.
 
     Results are returned indexed by replicate, so serial and parallel
-    schedules produce identical output.
+    schedules produce identical output.  The pool never has more
+    workers than the process may run on at once.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    threads = min(threads, _usable_cpus())
     if threads <= 1 or replicates == 1:
         return [fn(i) for i in range(replicates)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

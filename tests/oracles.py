@@ -8,9 +8,9 @@ integrate_finite, integrate_tail, integrate_half_line, integrate_log
 and integrate_unit were the certificates' integrators, and
 quadpack_weight (on integrate_unit_vec) was the shrinkage kernel's
 fallback for m_x.  They stay here as a second, independent route to
-the same integrals.  The full-length Monte Carlo kernels in between
-count errors with boolean masks over every coordinate, as the library
-did before it counted on the signal coordinates only.
+the same integrals.  The Monte Carlo kernels in between count errors
+with boolean masks; the FDR + FNR ones give the library's draw layout
+and the full-length one it replaced.
 """
 
 import math
@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad, quad_vec
 from scipy.special import expit
+from scipy.stats import norm
 
 from shrinktest.quadrature import DEFAULT_REL_TOL, NumericError, QuadratureError
 from shrinktest.rng import STREAM_NOISE, STREAM_TWO_GROUP, split_draws, substream
@@ -323,9 +324,14 @@ def posterior_odds_root(n: int, p_n: float, psi_sq: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Full-length Monte Carlo kernels: the replicate counts before they were
-# taken on the signal coordinates only.  Same streams and draw order, so
-# the library must reproduce their arrays and reports exactly.
+# Monte Carlo kernels with plain boolean masks.  The two-group and adaptive
+# ones draw on the library's streams in its draw order, so the library must
+# reproduce their arrays and reports exactly.  The FDR + FNR replicates
+# have two: fdp_fnp_counts follows the library's layout (p_n signal
+# normals, then one binomial null count) and must match it exactly, and
+# fdp_fnp_full_mask draws all n coordinates, as the library did before.
+# It matches the library's FNP exactly for a signal on the first p_n
+# coordinates, and its FDR only in distribution.
 # ---------------------------------------------------------------------------
 
 def signal_vector(signal) -> np.ndarray:
@@ -347,6 +353,20 @@ def fdp_fnp_full_mask(signal, x_star: float, replicates: int, seed: int):
         total = int(rejected.sum())
         fdp.append(float(rejected[null_mask].sum()) / max(total, 1))
         fnp.append(float(signal.p_n - rejected[~null_mask].sum()) / signal.p_n)
+    return np.array(fdp), np.array(fnp)
+
+
+def fdp_fnp_counts(signal, x_star: float, replicates: int, seed: int):
+    """Per-replicate (FDP, FNP) from p_n signal normals and a binomial null count."""
+    null_rate = 2.0 * float(norm.sf(x_star))
+    fdp, fnp = [], []
+    for rep in range(replicates):
+        rng = substream(seed, rep, STREAM_NOISE)
+        rejected = np.abs(signal.values + rng.standard_normal(signal.p_n)) > x_star
+        hits = int(rejected.sum())
+        false_positives = int(rng.binomial(signal.n - signal.p_n, null_rate))
+        fdp.append(false_positives / max(false_positives + hits, 1))
+        fnp.append((signal.p_n - hits) / signal.p_n)
     return np.array(fdp), np.array(fnp)
 
 

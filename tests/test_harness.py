@@ -23,6 +23,7 @@ from shrinktest import (
 from shrinktest.cli import EXIT_OK, main
 from shrinktest.harness import ResultTable
 from shrinktest.priors import parse_prior_spec
+from shrinktest import rng
 from shrinktest.rng import map_replicates, split_draws, substream
 from shrinktest.shrinkage import ShrinkageCurve
 from test_golden import echo_ini
@@ -596,6 +597,36 @@ class TestRngHelpers:
         serial = map_replicates(lambda i: i * i, 9, threads=1)
         parallel = map_replicates(lambda i: i * i, 9, threads=4)
         assert serial == parallel == [i * i for i in range(9)]
+
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        # The stand-in pool records its size and maps in this thread, so no
+        # worker thread starts whatever size is asked for.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
+        want = [i * i for i in range(9)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert map_replicates(lambda i: i * i, 9, threads=64) == want
+        assert map_replicates(lambda i: i * i, 9, threads=2) == want
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert map_replicates(lambda i: i * i, 9, threads=64) == want
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no pool
+        assert map_replicates(lambda i: i * i, 9, threads=64) == want
+        assert sizes == [3, 2, 5]
 
     def test_split_draws(self):
         parts = split_draws(103, 10)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +19,14 @@ from shrinktest import (
     horseshoe_family,
     horseshoe_prior,
     minimax_risk_bound,
+    miss_probability,
     oracle_comparison_mc,
     oracle_risk,
+    separation_magnitude,
     separation_rate,
     two_group_risk_mc,
 )
+from shrinktest import risk
 from shrinktest.risk import standard_error
 from shrinktest.rng import substream
 
@@ -255,6 +259,26 @@ class TestFdrFnrMc:
             fdr_fnr_mc(curve, empty, 0.5, replicates=5, seed=1)
 
 
+class TestRatesInN:
+    def test_rho_n_risk_does_not_grow_with_n(self):
+        # p = sqrt(n) at the separation rate (c1 calibrated, v_n = 3), 200
+        # replicates per n.  A replicate's cost does not depend on n, so
+        # n = 1e8 fits in the stated wall budget of 10 s.
+        start = time.monotonic()
+        reports = []
+        for n in (10**4, 10**6, 10**8):
+            p = math.isqrt(n)
+            curve = ShrinkageCurve(horseshoe_prior(p / n, n, p))
+            rho = separation_magnitude(curve, 0.5, v_n=3.0)
+            report = fdr_fnr_mc(curve, flat_signal(n, p, rho), 0.5, replicates=200, seed=19)
+            q = miss_probability(curve.decision_threshold(0.5), rho)
+            assert abs(report.fnr - q) <= 3.0 * math.sqrt(q * (1.0 - q) / (p * 200)), n
+            reports.append(report)
+        for a, b in zip(reports, reports[1:]):
+            assert b.rsup <= a.rsup + 3.0 * math.hypot(a.se("rsup"), b.se("rsup"))
+        assert time.monotonic() - start < 10.0
+
+
 class TestOracleComparison:
     def test_oracle_not_worse(self, model, curve):
         x_star = curve.decision_threshold(0.5)
@@ -277,19 +301,51 @@ def _scattered_signal(n: int = 5000, p: int = 60) -> SparseSignal:
 
 
 class TestCountedKernels:
-    """The kernels count on the signal coordinates only; the full-length
-    masks of the oracle module must give the same arrays and reports."""
+    """The kernels count on the signal coordinates only.  The FDR + FNR
+    replicates draw p_n signal normals and one binomial null count, and
+    must match the oracle module's plain-mask version of that layout; the
+    other kernels must match the full-length masks on the same draws."""
 
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("x_star", [2.7, 0.0, 1e3])
-    def test_fdp_fnp_match_full_masks(self, x_star, threads):
+    def test_fdp_fnp_match_counts_oracle(self, x_star, threads):
         signal = _scattered_signal()
         assert not np.all(np.diff(signal.support) > 0)
         assert np.any(signal.values < 0) and np.any(signal.values > 0)
         fdp, fnp = fdp_fnp_replicates(signal, x_star, 12, seed=8, threads=threads)
+        want_fdp, want_fnp = oracles.fdp_fnp_counts(signal, x_star, 12, seed=8)
+        np.testing.assert_array_equal(fdp, want_fdp)
+        np.testing.assert_array_equal(fnp, want_fnp)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("x_star", [0.0, 1e3])
+    def test_fdp_fnp_match_full_masks(self, x_star, threads):
+        # Cuts that reject everything or nothing leave no randomness in the counts.
+        signal = _scattered_signal()
+        fdp, fnp = fdp_fnp_replicates(signal, x_star, 12, seed=8, threads=threads)
         want_fdp, want_fnp = oracles.fdp_fnp_full_mask(signal, x_star, 12, seed=8)
         np.testing.assert_array_equal(fdp, want_fdp)
         np.testing.assert_array_equal(fnp, want_fnp)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_flat_signal_fnp_matches_full_masks(self, threads):
+        # On the first p coordinates the signal takes the full-length draw's first p normals.
+        signal = flat_signal(5000, 60, 3.0)
+        _, fnp = fdp_fnp_replicates(signal, 2.7, 40, seed=8, threads=threads)
+        _, want_fnp = oracles.fdp_fnp_full_mask(signal, 2.7, 40, seed=8)
+        np.testing.assert_array_equal(fnp, want_fnp)
+        assert 0.0 < fnp.mean() < 1.0
+
+    def test_fdr_fnr_agree_with_full_masks_in_distribution(self):
+        # 2,000 replicates per side on independent seeds (41 for the library,
+        # 42 for the full-length masks): the means agree within 4 combined SE.
+        signal = _scattered_signal()
+        fdp, fnp = fdp_fnp_replicates(signal, 2.7, 2000, seed=41)
+        want_fdp, want_fnp = oracles.fdp_fnp_full_mask(signal, 2.7, 2000, seed=42)
+        for got, want in ((fdp, want_fdp), (fnp, want_fnp)):
+            se = math.hypot(standard_error(got), standard_error(want))
+            assert se > 0.0
+            assert abs(got.mean() - want.mean()) <= 4.0 * se
 
     def test_zero_cut_rejects_everything(self):
         signal = _scattered_signal()
@@ -303,11 +359,29 @@ class TestCountedKernels:
         assert np.all(fdp == 0.0)
         assert np.all(fnp == 1.0)
 
+    def test_signal_on_every_coordinate(self):
+        # No nulls: binomial(0, q) gives no false positives.
+        signal = flat_signal(50, 50, 3.0)
+        fdp, fnp = fdp_fnp_replicates(signal, 2.7, 20, seed=8)
+        want_fdp, want_fnp = oracles.fdp_fnp_counts(signal, 2.7, 20, seed=8)
+        assert np.all(fdp == 0.0)
+        np.testing.assert_array_equal(fnp, want_fnp)
+        np.testing.assert_array_equal(fdp, want_fdp)
+
+    @pytest.mark.parametrize("x_star", [-1.0, -1e-300, math.nan])
+    def test_bad_cut_rejected_before_any_draw(self, x_star, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before validating x_star")
+
+        monkeypatch.setattr(risk, "substream", no_draws)
+        with pytest.raises(ValueError, match="x_star"):
+            fdp_fnp_replicates(_scattered_signal(), x_star, 5, seed=8)
+
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_fdr_fnr_report_matches_full_masks(self, curve, threads):
+    def test_fdr_fnr_report_matches_counts_oracle(self, curve, threads):
         signal = _scattered_signal()
         report = fdr_fnr_mc(curve, signal, 0.5, replicates=15, seed=21, threads=threads)
-        fdp, fnp = oracles.fdp_fnp_full_mask(signal, curve.decision_threshold(0.5), 15, seed=21)
+        fdp, fnp = oracles.fdp_fnp_counts(signal, curve.decision_threshold(0.5), 15, seed=21)
         assert report == RiskReport(
             fdr=float(fdp.mean()), fnr=float(fnp.mean()),
             rsup=float(fdp.mean()) + float(fnp.mean()),
