@@ -51,8 +51,6 @@ class SparsityEstimate:
     """An estimate of the number of signals, always in [1, n]."""
 
     p_hat: float
-    rule_id: str
-    threshold_used: float
 
     def __post_init__(self) -> None:
         if not self.p_hat >= 1.0:
@@ -65,9 +63,8 @@ def simple_count_estimator(data) -> SparsityEstimate:
     n = len(data)
     if n < 2:
         raise ValueError("need at least 2 observations")
-    cut = math.sqrt(2.0 * math.log(n))
-    count = int((np.abs(data) >= cut).sum())
-    return SparsityEstimate(float(max(count, 1)), "simple_count", cut)
+    count = int((np.abs(data) >= math.sqrt(2.0 * math.log(n))).sum())
+    return SparsityEstimate(float(max(count, 1)))
 
 
 def horseshoe_family(n: int, p: float) -> ScaleMixturePrior:

@@ -26,9 +26,9 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .priors import DegenerateSparsityError, certified_constants, certify_prior, parse_prior_spec
+from .priors import DegenerateSparsityError, certify_prior, parse_prior_spec
 from .quadrature import NumericError
-from .risk import bayes_risk_analytic, bayes_risk_bound, oracle_risk, two_group_risk_mc
+from .risk import _BATCHES
 from .shrinkage import ShrinkageCurve
 from .testing import TwoGroupModel, threshold_test
 
@@ -111,7 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rb.add_argument("--p", type=float, required=True)
     p_rb.add_argument("--c-psi", type=float, default=1.0)
     p_rb.add_argument("--alpha", type=float, default=0.5)
-    p_rb.add_argument("--draws", type=int, default=100000, help="0 disables the MC cross-check")
+    p_rb.add_argument("--draws", type=int, default=100000,
+                      help=f"total two-group draws, split over {_BATCHES} keyed batches "
+                           f"(at least {_BATCHES})")
 
     p_rm = sub.add_parser("risk-minimax", parents=[common], help="FDR+FNR risk report as CSV")
     p_rm.add_argument("--prior", required=True)
@@ -171,39 +173,28 @@ def _cmd_check_prior(args) -> int:
     return EXIT_OK
 
 
-def _cmd_risk_bayes(args) -> int:
-    prior = parse_prior_spec(args.prior)
-    model = TwoGroupModel.from_c_psi(args.n, args.p, args.c_psi)
-    curve = ShrinkageCurve(prior)
-    x_star = curve.decision_threshold(args.alpha)
-    analytic = bayes_risk_analytic(model, x_star)
-    c, big_c = certified_constants(prior)
-    bound = bayes_risk_bound(prior, model, args.alpha, big_c, c)
-    table = ResultTable(["row_type"] + RISK_COLUMNS)
-    base = dict(n=model.n, p=model.p_n, alpha=args.alpha, x_star=x_star,
-                oracle_risk=oracle_risk(model), bound=bound, seed=args.seed)
-    table.append(
-        row_type="analytic",
-        type1=analytic.type1, type2=analytic.type2, bayes_risk=analytic.bayes_risk,
-        se_type1=0.0, se_type2=0.0, se_bayes_risk=0.0, **base,
-    )
-    if args.draws > 0:
-        mc = two_group_risk_mc(model, x_star, draws=args.draws, seed=args.seed,
-                               threads=args.threads)
-        table.append(
-            row_type="mc",
-            type1=mc.type1, type2=mc.type2, bayes_risk=mc.bayes_risk,
-            se_type1=mc.se("type1"), se_type2=mc.se("type2"),
-            se_bayes_risk=mc.se("bayes_risk"), **base,
-        )
-    _emit(table.csv_text(), args.out)
-    return EXIT_OK
-
-
-def _aggregate_row(config: ExperimentConfig) -> dict:
-    """The aggregate row of run_experiment(config), keyed by column."""
+def _experiment_rows(config: ExperimentConfig, *positions: int) -> list[dict]:
+    """The rows of run_experiment(config) at the given positions, keyed by column."""
     table = run_experiment(config)
-    return {name: table.column(name)[-1] for name in table.columns}
+    columns = {name: table.column(name) for name in table.columns}
+    return [{name: cells[i] for name, cells in columns.items()} for i in positions]
+
+
+def _emit_rows(columns: list[str], rows: list[dict], out: str | None) -> None:
+    table = ResultTable(columns)
+    table.extend(**{column: [row[column] for row in rows] for column in columns})
+    _emit(table.csv_text(), out)
+
+
+def _cmd_risk_bayes(args) -> int:
+    config = ExperimentConfig(
+        experiment_id="risk-bayes", kind="risk_bayes", prior=parse_prior_spec(args.prior),
+        model=TwoGroupModel.from_c_psi(args.n, args.p, args.c_psi), alpha=args.alpha,
+        replicates=_BATCHES, seed=args.seed, threads=args.threads, draws=args.draws,
+    )
+    analytic, aggregate = _experiment_rows(config, 0, -1)
+    _emit_rows(["row_type"] + RISK_COLUMNS, [analytic, {**aggregate, "row_type": "mc"}], args.out)
+    return EXIT_OK
 
 
 def _cmd_risk_minimax(args) -> int:
@@ -214,10 +205,7 @@ def _cmd_risk_minimax(args) -> int:
         signal_rule="rho_n" if args.magnitude is None else "fixed",
         signal_magnitude=args.magnitude,
     )
-    row = _aggregate_row(config)
-    table = ResultTable(["row_type", "magnitude"] + RISK_COLUMNS)
-    table.append(**{column: row[column] for column in table.columns})
-    _emit(table.csv_text(), args.out)
+    _emit_rows(["row_type", "magnitude"] + RISK_COLUMNS, _experiment_rows(config, -1), args.out)
     return EXIT_OK
 
 
@@ -232,7 +220,7 @@ def _cmd_adaptive(args) -> int:
         simple_count_estimator, model, c_u=args.c_u, zeta=args.zeta,
         replicates=args.replicates, seed=args.seed, threads=args.threads,
     )
-    row = _aggregate_row(config)
+    (row,) = _experiment_rows(config, -1)
     record = {
         "condition4": cond4.to_record(),
         "risk": {"bayes_risk": row["bayes_risk"], "se_bayes_risk": row["se_bayes_risk"],

@@ -20,7 +20,9 @@ import numpy as np
 from .adaptive import adaptive_risk_replicates
 from .priors import ScaleMixturePrior, certified_constants, prior_from_config, prior_to_config
 from .risk import (
-    _error_counts,
+    RiskReport,
+    _report_from_counts,
+    _two_group_counts,
     bayes_risk_analytic,
     bayes_risk_bound,
     fdp_fnp_replicates,
@@ -32,7 +34,6 @@ from .risk import (
     separation_magnitude,
     standard_error,
 )
-from .rng import STREAM_TWO_GROUP, map_replicates, substream
 from .shrinkage import ShrinkageCurve
 from .testing import TwoGroupModel
 
@@ -183,6 +184,9 @@ class ExperimentConfig:
             raise ConfigError("prior", "section is required")
         if self.kind in ("risk_bayes", "adaptive") and self.model is None:
             raise ConfigError("model", "section is required for this kind")
+        if self.kind == "risk_bayes" and self.draws < self.replicates:
+            raise ConfigError("experiment.draws", f"must be >= replicates = {self.replicates} "
+                              f"(one batch of draws per replicate), got {self.draws!r}")
         if self.kind == "risk_minimax" and self.signal_rule == "fixed" and self.signal_magnitude is None:
             raise ConfigError("signal.magnitude", "required when signal.rule = fixed")
         if self.kind == "mx_curve" and not self.x_grid:
@@ -307,7 +311,8 @@ def _write_replicates(table: ResultTable, base: dict, aggregate: dict, **per_rep
 
     Every row holds the base values.  The aggregate row holds each
     per-replicate column's mean, its standard error under the table's
-    matching se_ column where there is one, and the aggregate values.
+    matching se_ column where there is one, and the aggregate values,
+    which take the place of a mean or a standard error of the same column.
     """
     count = len(next(iter(per_replicate.values())))
     table.extend(
@@ -315,34 +320,37 @@ def _write_replicates(table: ResultTable, base: dict, aggregate: dict, **per_rep
         **{key: [value] * count for key, value in base.items()},
         **{key: values.tolist() for key, values in per_replicate.items()},
     )
-    table.append(
-        row_type="aggregate", replicate=count, **base, **aggregate,
-        **{key: float(values.mean()) for key, values in per_replicate.items()},
-        **{f"se_{key}": standard_error(values) for key, values in per_replicate.items()
-           if f"se_{key}" in table.columns},
-    )
+    summary = {key: float(values.mean()) for key, values in per_replicate.items()}
+    summary.update((f"se_{key}", standard_error(values)) for key, values in per_replicate.items()
+                   if f"se_{key}" in table.columns)
+    table.append(row_type="aggregate", replicate=count, **base, **{**summary, **aggregate})
+
+
+def _risk_cells(report: RiskReport) -> dict:
+    """The two-group rates, the additive risk and their standard errors of a report."""
+    names = ("type1", "type2", "bayes_risk")
+    return {**{name: getattr(report, name) for name in names},
+            **{f"se_{name}": report.se(name) for name in names}}
 
 
 def _run_risk_bayes(config: ExperimentConfig, table: ResultTable) -> None:
+    """The analytic row, then one row per batch of the two-group kernel (replicate b is
+    batch b of the config's draws), then the aggregate of the pooled counts, whose
+    standard errors are binomial."""
     prior, model = config.prior, config.model
-    curve = ShrinkageCurve(prior)
-    x_star = curve.decision_threshold(config.alpha)
-    analytic = bayes_risk_analytic(model, x_star)
+    x_star = ShrinkageCurve(prior).decision_threshold(config.alpha)
     c, big_c = certified_constants(prior)
-    bound = bayes_risk_bound(prior, model, config.alpha, big_c, c)
-
-    def one(rep: int) -> float:
-        x, signal_idx = model.sample(substream(config.seed, rep, STREAM_TWO_GROUP), config.draws)
-        fp, fn = _error_counts(np.abs(x, out=x), signal_idx, x_star)
-        return model.n * ((fp + fn) / config.draws)
-
-    _write_replicates(
-        table,
-        dict(n=model.n, p=model.p_n, alpha=config.alpha, x_star=x_star, seed=config.seed),
-        dict(type1=analytic.type1, type2=analytic.type2, oracle_risk=oracle_risk(model),
-             bound=bound, se_type1=0.0, se_type2=0.0),
-        bayes_risk=np.array(map_replicates(one, config.replicates, config.threads)),
-    )
+    base = dict(n=model.n, p=model.p_n, alpha=config.alpha, x_star=x_star, seed=config.seed)
+    bounds = dict(oracle_risk=oracle_risk(model),
+                  bound=bayes_risk_bound(prior, model, config.alpha, big_c, c))
+    table.append(row_type="analytic", **base, **bounds,
+                 **_risk_cells(bayes_risk_analytic(model, x_star)))
+    counts = _two_group_counts(model, (x_star,), config.draws, config.seed, config.threads,
+                               config.replicates)
+    draws, n_signal, fp, fn = counts.sum(axis=0).tolist()
+    pooled = _report_from_counts(model, fp, fn, n_signal, draws)
+    _write_replicates(table, base, {**bounds, **_risk_cells(pooled)}, bayes_risk=np.array(
+        [model.n * (fp + fn) / m for m, _, fp, fn in counts.tolist()]))
 
 
 def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:

@@ -50,6 +50,13 @@ class DegenerateSparsityError(ValueError):
     """Raised when log(n/p) <= 1 puts the sparsity pair outside the sparse regime."""
 
 
+def _check_finite(key: str, value: float, low: float, strict: bool = True) -> None:
+    """Raise ValueError naming the spec key unless value is finite and above (or at) low."""
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        raise ValueError(f"{key} must be finite and {'>' if strict else '>='} {low:g}, "
+                         f"got {key}={value!r}")
+
+
 @dataclass(frozen=True)
 class ScaleMixturePrior:
     """A variance density plus declared condition constants.
@@ -77,20 +84,10 @@ class ScaleMixturePrior:
             raise ValueError("n must be a positive integer")
         if not 0.0 < self.p < self.n:
             raise ValueError(f"p must lie in (0, n); got p={self.p}, n={self.n}")
-        if self.tail_rate < 0.0:
-            raise ValueError("tail rate b must be nonnegative")
-        if self.rv_onset <= 0.0:
-            raise ValueError("rv onset u0 must be positive")
-        if self.rv_ratio is not None and self.rv_ratio <= 1.0:
-            raise ValueError("rv ratio R must exceed 1")
-        if self.lower_rate is not None and self.lower_rate <= 0.0:
-            raise ValueError("lower rate b' must be positive")
-        if self.lower_scale is not None and self.lower_scale <= 0.0:
-            raise ValueError("lower scale C' must be positive")
-        if self.lower_exponent is not None and self.lower_exponent < 0.0:
-            raise ValueError("lower exponent K must be nonnegative")
-        if self.lower_onset < 1.0:
-            raise ValueError("lower onset u_* must be >= 1")
+        for key, (attr, low, strict) in _OPTIONAL_CONSTANTS.items():
+            value = getattr(self, attr)
+            if value is not None:
+                _check_finite(key, value, low, strict)
 
     @property
     def tau(self) -> float:
@@ -166,8 +163,7 @@ def horseshoe_prior(tau: float, n: int, p: float) -> ScaleMixturePrior:
     lower bound holds with K = 1, b' = 1, u_* = 1; for other tau the
     exponent is adjusted so that tau_n^K still undershoots the tail mass.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    _check_finite("tau", tau, 0.0)
     if not 0.0 < p < n:
         raise ValueError(f"p must lie in (0, n); got p={p}, n={n}")
     log_tau = math.log(tau)
@@ -207,8 +203,7 @@ def exponential_prior(rate: float, n: int, p: float) -> ScaleMixturePrior:
     slowly-varying factor, so the tail-ratio certificate returns exactly 1
     and the lower bound holds with equality (K = 0, b' = rate, C' = 1/rate).
     """
-    if not rate > 0.0:
-        raise ValueError("rate must be positive")
+    _check_finite("rate", rate, 0.0)
     log_rate = math.log(rate)
 
     def log_density(u: np.ndarray) -> np.ndarray:
@@ -232,10 +227,8 @@ def exponential_prior(rate: float, n: int, p: float) -> ScaleMixturePrior:
 
 def inverse_gamma_prior(shape: float, scale: float, n: int, p: float) -> ScaleMixturePrior:
     """Inverse-gamma variance prior, a polynomial-tail contrast case (b = 0)."""
-    if not shape > 0.0:
-        raise ValueError("shape must be positive")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
+    _check_finite("shape", shape, 0.0)
+    _check_finite("scale", scale, 0.0)
     log_norm = shape * math.log(scale) - float(gammaln(shape))
 
     def log_density(u: np.ndarray) -> np.ndarray:
@@ -459,14 +452,16 @@ _FAMILIES = {
     "inverse_gamma": (inverse_gamma_prior, ("shape", "scale")),
 }
 
+# Each optional constant's spec key: its field, and the bound it must
+# exceed (strict) or reach.
 _OPTIONAL_CONSTANTS = {
-    "b": "tail_rate",
-    "b_prime": "lower_rate",
-    "c_prime": "lower_scale",
-    "k": "lower_exponent",
-    "u_star": "lower_onset",
-    "u0": "rv_onset",
-    "r": "rv_ratio",
+    "b": ("tail_rate", 0.0, False),
+    "b_prime": ("lower_rate", 0.0, True),
+    "c_prime": ("lower_scale", 0.0, True),
+    "k": ("lower_exponent", 0.0, False),
+    "u_star": ("lower_onset", 1.0, False),
+    "u0": ("rv_onset", 0.0, True),
+    "r": ("rv_ratio", 1.0, True),
 }
 
 
@@ -476,7 +471,7 @@ def prior_to_config(prior: ScaleMixturePrior) -> dict[str, float | str | int]:
         raise ValueError(f"prior family {prior.family!r} is not serializable")
     out: dict[str, float | str | int] = {"family": prior.family, "n": prior.n, "p": prior.p}
     out.update(dict(prior.params))
-    for key, attr in _OPTIONAL_CONSTANTS.items():
+    for key, (attr, _, _) in _OPTIONAL_CONSTANTS.items():
         val = getattr(prior, attr)
         if val is not None:
             out[key] = val
@@ -498,7 +493,7 @@ def prior_from_config(config: Mapping[str, object]) -> ScaleMixturePrior:
         raise ValueError(f"prior config missing field {exc.args[0]!r}") from None
     prior = builder(*params, n, p)
     overrides = {}
-    for key, attr in _OPTIONAL_CONSTANTS.items():
+    for key, (attr, _, _) in _OPTIONAL_CONSTANTS.items():
         if key in items:
             overrides[attr] = float(items.pop(key))
     if items:

@@ -356,18 +356,24 @@ class TwoGroupComparison:
 
 
 def _two_group_counts(
-    model: TwoGroupModel, cuts: tuple[float, ...], draws: int, seed: int, threads: int
-) -> tuple[np.ndarray, int]:
-    """Per-cut (fp, fn) totals and the signal count over all batches."""
-    per_batch = split_draws(draws, _BATCHES)
+    model: TwoGroupModel, cuts: tuple[float, ...], draws: int, seed: int, threads: int,
+    batches: int = _BATCHES,
+) -> np.ndarray:
+    """The batch kernel of every two-group Monte Carlo path: one count row per batch.
+
+    Batch b draws its split_draws(draws, batches)[b] share on key
+    (seed, b, STREAM_TWO_GROUP); its row holds those draws, its signals,
+    then fp and fn for each cut.
+    """
+    sizes = split_draws(draws, batches)
 
     def one(batch: int) -> list[int]:
-        x, signal_idx = model.sample(substream(seed, batch, STREAM_TWO_GROUP), per_batch[batch])
+        x, signal_idx = model.sample(substream(seed, batch, STREAM_TWO_GROUP), sizes[batch])
         np.abs(x, out=x)
-        return [len(signal_idx)] + [k for cut in cuts for k in _error_counts(x, signal_idx, cut)]
+        return [sizes[batch], len(signal_idx), *(
+            k for cut in cuts for k in _error_counts(x, signal_idx, cut))]
 
-    totals = np.array(map_replicates(one, _BATCHES, threads), dtype=np.int64).sum(axis=0)
-    return totals[1:].reshape(len(cuts), 2), int(totals[0])
+    return np.array(map_replicates(one, batches, threads), dtype=np.int64)
 
 
 def _report_from_counts(
@@ -398,8 +404,9 @@ def two_group_risk_mc(
     threads: int = 1,
 ) -> RiskReport:
     """Monte Carlo additive risk of the cut x* under the two-group marginal."""
-    fp_fn, n_signal = _two_group_counts(model, (float(x_star),), draws, seed, threads)
-    return _report_from_counts(model, int(fp_fn[0, 0]), int(fp_fn[0, 1]), n_signal, draws)
+    totals = _two_group_counts(model, (float(x_star),), draws, seed, threads).sum(axis=0)
+    _, n_signal, fp, fn = totals.tolist()
+    return _report_from_counts(model, fp, fn, n_signal, draws)
 
 
 def oracle_comparison_mc(
@@ -418,8 +425,8 @@ def oracle_comparison_mc(
     is the difference of the rejection counts, fp - fn + n_signal.
     """
     cuts = (float(x_star), model.oracle_cutoff())
-    fp_fn, n_signal = _two_group_counts(model, cuts, draws, seed, threads)
-    (fp0, fn0), (fp1, fn1) = fp_fn.tolist()
+    totals = _two_group_counts(model, cuts, draws, seed, threads).sum(axis=0)
+    _, n_signal, fp0, fn0, fp1, fn1 = totals.tolist()
     thresh = _report_from_counts(model, fp0, fn0, n_signal, draws)
     oracle = _report_from_counts(model, fp1, fn1, n_signal, draws)
     mean_d = ((fp0 + fn0) - (fp1 + fn1)) / draws

@@ -57,24 +57,26 @@ def desk():
 
 
 def test_criterion_1_quadrature_oracle_agreement():
-    start = time.monotonic()
+    # The budget times the library's weight calls only, not the 1e6-node oracle.
     priors = [
         horseshoe_prior(0.05, 1000, 50),
         exponential_prior(1.0, 1000, 50),
         inverse_gamma_prior(2.0, 1.0, 1000, 50),
     ]
     xs = np.arange(0.0, 20.5, 0.5)
-    worst = 0.0
+    worst = elapsed = 0.0
     for prior in priors:
         curve = ShrinkageCurve(prior)
         oracle = oracles.TrapezoidShrinkageOracle(prior, nodes=10**6)
         for x in xs:
-            worst = max(worst, abs(curve.weight(float(x)) - oracle.weight(float(x))))
-    elapsed = time.monotonic() - start
+            start = time.monotonic()
+            got = curve.weight(float(x))
+            elapsed += time.monotonic() - start
+            worst = max(worst, abs(got - oracle.weight(float(x))))
     report(
         "criterion 1 (quadrature vs 1e6-node trapezoid oracle)",
         worst <= 1e-6 and elapsed <= 10.0,
-        f"max |diff| = {worst:.3e} (tol 1e-6), runtime {elapsed:.1f}s (budget 10s)",
+        f"max |diff| = {worst:.3e} (tol 1e-6), weight calls {elapsed:.3f}s (budget 10s)",
     )
 
 

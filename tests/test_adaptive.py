@@ -34,7 +34,6 @@ class TestSimpleCountEstimator:
     def test_floor_on_zero_data(self):
         est = simple_count_estimator(np.zeros(100))
         assert est.p_hat == 1.0
-        assert est.rule_id == "simple_count"
 
     def test_counts_large_entries(self):
         data = np.zeros(100)
@@ -43,8 +42,14 @@ class TestSimpleCountEstimator:
         assert est.p_hat == 7.0
 
     def test_threshold_is_universal(self):
-        est = simple_count_estimator(np.zeros(100))
-        assert est.threshold_used == pytest.approx(math.sqrt(2.0 * math.log(100.0)))
+        # The count takes |x| >= sqrt(2 log n): 1e-9 above the cut counts, 1e-9 below does not.
+        cut = math.sqrt(2.0 * math.log(100.0))
+        data = np.zeros(100)
+        data[:3] = cut + 1e-9
+        data[3] = -(cut + 1e-9)
+        data[4:9] = cut - 1e-9
+        data[9] = -(cut - 1e-9)
+        assert simple_count_estimator(data).p_hat == 4.0
 
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
@@ -60,12 +65,12 @@ class TestSimpleCountEstimator:
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
-            SparsityEstimate(0.5, "bad", 1.0)
+            SparsityEstimate(0.5)
 
 
 class TestVerifyCondition4:
     def test_overestimating_rule_fails_upper(self, model):
-        overshoot = lambda data: SparsityEstimate(float(len(data)), "const_n", 0.0)
+        overshoot = lambda data: SparsityEstimate(float(len(data)))
         report = verify_condition4(overshoot, model, replicates=100, seed=1)
         assert report.freq_lower == 1.0
         assert report.freq_upper == 0.0
@@ -73,7 +78,7 @@ class TestVerifyCondition4:
         assert not report.passed
 
     def test_floor_rule_fails_lower_when_bound_exceeds_one(self, model):
-        floor = lambda data: SparsityEstimate(1.0, "const_1", 0.0)
+        floor = lambda data: SparsityEstimate(1.0)
         # capital_c_d = 0 keeps the lower bound at p_n >> 1.
         report = verify_condition4(floor, model, c_d=1.0, capital_c_d=0.0,
                                    replicates=100, seed=1)

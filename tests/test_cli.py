@@ -5,11 +5,16 @@ import sys
 
 import pytest
 
-from shrinktest import cli
+from shrinktest import ExperimentConfig, TwoGroupModel, cli, parse_prior_spec, run_experiment
 from shrinktest.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from shrinktest.shrinkage import ShrinkageCurve
 
 PRIOR = "horseshoe:tau=0.05,n=1000,p=50"
+
+
+def _csv_rows(text):
+    """The header and cells of a CSV text, comment lines dropped."""
+    return [line.split(",") for line in text.splitlines() if not line.startswith("#")]
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +209,34 @@ class TestRiskBayes:
         rows = {line.split(",")[0]: line for line in lines[1:]}
         assert set(rows) == {"analytic", "mc"}
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_prints_the_analytic_and_aggregate_rows_of_the_kind(self, capsys, threads):
+        code, out, _ = run_cli(capsys, *RISK_BAYES, "--c-psi", "2", "--draws", "3000",
+                               "--seed", "9", "--threads", str(threads))
+        assert code == EXIT_OK
+        config = ExperimentConfig(
+            experiment_id="x", kind="risk_bayes", prior=parse_prior_spec(PRIOR),
+            model=TwoGroupModel.from_c_psi(1000, 50.0, 2.0), replicates=64, seed=9, draws=3000,
+        )
+        header, *rows = _csv_rows(run_experiment(config).csv_text())
+        picked = [dict(zip(header, row)) for row in rows if row[0] in ("analytic", "aggregate")]
+        picked[1]["row_type"] = "mc"
+        cli_header, *cli_rows = _csv_rows(out)
+        assert [row[0] for row in rows] == ["analytic"] + ["replicate"] * 64 + ["aggregate"]
+        assert cli_rows == [[row[column] for column in cli_header] for row in picked]
+
+    @pytest.mark.parametrize("command", ["check-prior", "risk-bayes"])
+    @pytest.mark.parametrize("spec, key", [
+        (f"{PRIOR},k=nan", "k"), (f"{PRIOR},u0=nan", "u0"), (f"{PRIOR},r=nan", "r"),
+        ("horseshoe:tau=inf,n=1000,p=50", "tau"),
+    ])
+    def test_non_finite_prior_field_exits_2_naming_its_key(self, capsys, command, spec, key):
+        sizes = ["--n", "1000", "--p", "50"] if command == "risk-bayes" else []
+        code, out, err = run_cli(capsys, command, "--prior", spec, *sizes)
+        assert code == EXIT_VALIDATION
+        assert f"validation error: {key} must be finite" in err
+        assert out == ""
+
 
 class TestRiskMinimax:
     def test_aggregate_row(self, capsys):
@@ -252,11 +285,18 @@ class TestAdaptive:
         assert record["risk"]["bound"] > 0
 
 
+RISK_BAYES = ["risk-bayes", "--prior", PRIOR, "--n", "1000", "--p", "50"]
+
+
 class TestRiskFlagsCheckedAsConfig:
     @pytest.mark.parametrize("argv, field", [
         (["risk-minimax", "--prior", PRIOR, "--lambda", "1.5"], "test.lambda"),
         (["risk-minimax", "--prior", PRIOR, "--magnitude", "nan"], "signal.magnitude"),
         (["adaptive", "--n", "1000", "--p", "50", "--zeta", "-1"], "experiment.zeta"),
+        (RISK_BAYES + ["--draws", "-5"], "experiment.draws"),
+        (RISK_BAYES + ["--draws", "63"], "experiment.draws"),  # fewer than the 64 batches
+        (RISK_BAYES + ["--threads", "0"], "experiment.threads"),
+        (RISK_BAYES + ["--alpha", "1.0"], "test.alpha"),
     ])
     def test_bad_flag_exits_before_any_compute(self, capsys, compute_calls, argv, field):
         code, out, err = run_cli(capsys, *argv)

@@ -24,8 +24,10 @@ from shrinktest.cli import EXIT_OK, main
 from shrinktest.harness import ResultTable
 from shrinktest.priors import parse_prior_spec
 from shrinktest import rng
-from shrinktest.rng import map_replicates, split_draws, substream
+from shrinktest.risk import _report_from_counts, two_group_risk_mc
+from shrinktest.rng import STREAM_TWO_GROUP, map_replicates, split_draws, substream
 from shrinktest.shrinkage import ShrinkageCurve
+import oracles
 from test_golden import echo_ini
 
 
@@ -134,13 +136,14 @@ def _configs(draw):
     rule = draw(hst.sampled_from(["rho_n", "fixed"]))
     nonzero = _finite().filter(bool)
     magnitude = draw(nonzero if rule == "fixed" else hst.none() | nonzero)
+    replicates = draw(hst.integers(1, 10**6))
     return ExperimentConfig(
         experiment_id=draw(hst.text("abc-_%;#=:.()[]019", min_size=1)),
         kind=kind, prior=prior,
         model=TwoGroupModel.from_c_psi(n, p, draw(_finite(1e-6))) if kind != "mx_curve" else None,
         alpha=number(draw(_unit())), lam=number(draw(_unit())),
-        replicates=draw(hst.integers(1, 10**6)), seed=draw(hst.integers(0, 2**64 - 1)),
-        threads=draw(hst.integers(1, 64)), draws=draw(hst.integers(1, 10**9)),
+        replicates=replicates, seed=draw(hst.integers(0, 2**64 - 1)),
+        threads=draw(hst.integers(1, 64)), draws=draw(hst.integers(replicates, 10**9)),
         signal_rule=rule, signal_magnitude=None if magnitude is None else number(magnitude),
         v_n=number(draw(_finite(0.0))),
         c1=draw(hst.just("auto") | _finite(0.0).map(number)),
@@ -209,6 +212,13 @@ class TestLoadConfig:
         path.write_text(echo_ini(table.csv_text()), encoding="utf-8")
         assert load_config(str(path)).meta() == config.meta()
 
+    def test_risk_bayes_draws_below_replicates_is_field_error(self, tmp_path):
+        # Each replicate is one batch of the draws, so no batch may be empty.
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, BASE_CONFIG.replace("draws = 500", "draws = 2")))
+        assert err.value.field_name == "experiment.draws"
+        load_config(write_config(tmp_path, BASE_CONFIG.replace("draws = 500", "draws = 3")))
+
     def test_bad_prior_section(self, tmp_path):
         text = BASE_CONFIG.replace("family = horseshoe", "family = unknown")
         with pytest.raises(ConfigError) as err:
@@ -220,12 +230,46 @@ class TestRunExperiment:
     def test_rows_and_aggregate(self, tmp_path):
         config = load_config(write_config(tmp_path, BASE_CONFIG))
         table = run_experiment(config)
-        kinds = table.column("row_type")
-        assert kinds.count("replicate") == 3
-        assert kinds.count("aggregate") == 1
+        assert table.column("row_type") == ["analytic"] + ["replicate"] * 3 + ["aggregate"]
         agg_risk = table.column("bayes_risk", row_type="aggregate")[0]
         reps = table.column("bayes_risk", row_type="replicate")
-        assert agg_risk == pytest.approx(sum(reps) / len(reps))
+        # The aggregate pools the batches' counts: the mean of the replicate
+        # risks weighted by their shares of the draws.
+        sizes = split_draws(config.draws, config.replicates)
+        assert agg_risk == pytest.approx(sum(r * m for r, m in zip(reps, sizes)) / config.draws)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_risk_bayes_rows_match_full_mask_counts(self, tmp_path, threads):
+        # Replicate b is batch b of the two-group kernel; the aggregate pools them.
+        text = BASE_CONFIG.replace("replicates = 3", "replicates = 5").replace(
+            "draws = 500", "draws = 4001").replace("threads = 1", f"threads = {threads}")
+        config = load_config(write_config(tmp_path, text))
+        table = run_experiment(config)
+        model, seed = config.model, config.seed
+        x_star = table.column("x_star")[0]
+        want_reps = []
+        for batch, m in enumerate(split_draws(config.draws, config.replicates)):
+            x, is_signal = oracles.two_group_sample_mask(
+                model, substream(seed, batch, STREAM_TWO_GROUP), m)
+            want_reps.append(model.n * int(((np.abs(x) > x_star) != is_signal).sum()) / m)
+        assert table.column("bayes_risk", row_type="replicate") == want_reps
+        fp_fn, _, n_signal, draws = oracles.two_group_counts_full_mask(
+            model, (x_star,), config.draws, seed, batches=config.replicates)
+        want = _report_from_counts(model, *fp_fn[0].tolist(), n_signal, draws)
+        for name in ("type1", "type2", "bayes_risk"):
+            assert table.column(name, row_type="aggregate") == [getattr(want, name)]
+            assert table.column(f"se_{name}", row_type="aggregate") == [want.se(name)]
+
+    def test_risk_bayes_at_64_replicates_is_two_group_risk_mc(self, tmp_path):
+        text = BASE_CONFIG.replace("replicates = 3", "replicates = 64").replace(
+            "draws = 500", "draws = 20000")
+        config = load_config(write_config(tmp_path, text))
+        table = run_experiment(config)
+        x_star = table.column("x_star")[0]
+        want = two_group_risk_mc(config.model, x_star, draws=20000, seed=config.seed)
+        for name in ("type1", "type2", "bayes_risk"):
+            assert table.column(name, row_type="aggregate") == [getattr(want, name)]
+            assert table.column(f"se_{name}", row_type="aggregate") == [want.se(name)]
 
     def test_byte_identical_reruns(self, tmp_path):
         config = load_config(write_config(tmp_path, BASE_CONFIG))

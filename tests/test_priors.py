@@ -355,6 +355,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed"):
             parse_prior_spec("horseshoe:tau")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["b", "b_prime", "c_prime", "k", "u_star", "u0", "r"])
+    def test_non_finite_constant_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            parse_prior_spec(f"horseshoe:tau=0.05,n=1000,p=50,{key}={value}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("spec, key", [
+        ("horseshoe:tau={},n=1000,p=50", "tau"),
+        ("exponential:rate={},n=1000,p=50", "rate"),
+        ("inverse_gamma:shape={},scale=1,n=1000,p=50", "shape"),
+        ("inverse_gamma:shape=2,scale={},n=1000,p=50", "scale"),
+    ])
+    def test_non_finite_family_parameter_names_its_key(self, spec, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            parse_prior_spec(spec.format(value))
+
 
 class TestMassBelow:
     def test_respects_cutoff(self):
