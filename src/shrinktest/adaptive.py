@@ -20,7 +20,7 @@ import numpy as np
 
 from .priors import ScaleMixturePrior, horseshoe_prior
 from .rng import STREAM_ESTIMATOR, STREAM_TWO_GROUP, map_replicates, substream
-from .risk import RiskReport, _error_counts, standard_error
+from .risk import RiskReport, _error_counts, null_rejection_rate, standard_error
 from .shrinkage import ShrinkageCurve
 from .testing import DecisionVector, TwoGroupModel
 
@@ -161,27 +161,17 @@ class Condition4Report:
         }
 
 
-def verify_condition4(
-    estimator: Estimator,
+def _window_report(
+    p_hat: np.ndarray,
     model: TwoGroupModel,
-    c_u: float = 2.0,
-    c_d: float = 1.0,
-    capital_c_d: float = 2.0,
-    zeta: float = 0.0,
-    replicates: int = 1000,
-    seed: int = 0,
-    threads: int = 1,
+    c_u: float,
+    c_d: float,
+    capital_c_d: float,
+    zeta: float,
+    seed: int,
 ) -> Condition4Report:
-    """Estimate how often the estimator stays inside its guarantee window.
-
-    The upper event is p_hat <= c_u p_n, required with frequency at least
-    1 - 10 p_n / n (a finite-n surrogate for 1 - o(p_n/n)); the lower
-    event is p_hat >= c_d p_n (n/p_n)^{-zeta}
-    e^{-capital_c_d sqrt(K log(n/p_n))} with K = 1, required with
-    frequency at least 0.95.
-    """
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates")
+    """The window frequencies of one p_hat per replicate, with their Wilson intervals."""
+    replicates = len(p_hat)
     log_ratio = math.log(model.n / model.p_n)
     lower_bound = (
         c_d
@@ -189,16 +179,8 @@ def verify_condition4(
         * (model.n / model.p_n) ** (-zeta)
         * math.exp(-capital_c_d * math.sqrt(_K * log_ratio))
     )
-    upper_cut = c_u * model.p_n
-
-    def one(rep: int) -> tuple[int, int]:
-        # Own stream id: window checks must not recycle the risk MC draws.
-        x, _ = model.sample(substream(seed, rep, STREAM_ESTIMATOR), model.n)
-        p_hat = estimator(x).p_hat
-        return int(p_hat <= upper_cut), int(p_hat >= lower_bound)
-
-    hits = np.array(map_replicates(one, replicates, threads), dtype=np.int64)
-    n_upper, n_lower = int(hits[:, 0].sum()), int(hits[:, 1].sum())
+    n_upper = int(np.count_nonzero(p_hat <= c_u * model.p_n))
+    n_lower = int(np.count_nonzero(p_hat >= lower_bound))
     freq_upper, freq_lower = n_upper / replicates, n_lower / replicates
     target_upper = 1.0 - _UPPER_SLACK * model.p_n / model.n
     return Condition4Report(
@@ -218,6 +200,48 @@ def verify_condition4(
         n_replicates=replicates,
         seed=seed,
     )
+
+
+def verify_condition4(
+    estimator: Estimator,
+    model: TwoGroupModel,
+    c_u: float = 2.0,
+    c_d: float = 1.0,
+    capital_c_d: float = 2.0,
+    zeta: float = 0.0,
+    replicates: int = 1000,
+    seed: int = 0,
+    threads: int = 1,
+) -> Condition4Report:
+    """Estimate how often the estimator stays inside its guarantee window.
+
+    The upper event is p_hat <= c_u p_n, required with frequency at least
+    1 - 10 p_n / n (a finite-n surrogate for 1 - o(p_n/n)); the lower
+    event is p_hat >= c_d p_n (n/p_n)^{-zeta}
+    e^{-capital_c_d sqrt(K log(n/p_n))} with K = 1, required with
+    frequency at least 0.95.
+
+    The coordinates are i.i.d. under the two-group marginal, so the count
+    of |x| >= t = sqrt(2 log n) is binomial(n, q) with
+    q = (1 - p_n/n) 2 Phi(-t) + (p_n/n) 2 Phi(-t/alt_sd); a tie at t has
+    probability 0.  All replicates' counts come from one
+    binomial(n, q, size=replicates) draw on the (seed, 0, STREAM_ESTIMATOR)
+    stream, and p_hat = max(count, 1).  The layout holds only for
+    simple_count_estimator, the one estimator accepted.  threads has no
+    effect: a count costs less than handing it to a thread.
+    """
+    if estimator is not simple_count_estimator:
+        raise ValueError(
+            f"estimator must be simple_count_estimator (the binomial count layout), got {estimator!r}"
+        )
+    if replicates < 100:
+        raise ValueError("need at least 100 replicates")
+    t = math.sqrt(2.0 * math.log(model.n))
+    frac = model.signal_fraction
+    q = (1.0 - frac) * null_rejection_rate(t) + frac * null_rejection_rate(t / model.alt_sd)
+    # Own stream id: window checks must not recycle the risk MC draws.
+    counts = substream(seed, 0, STREAM_ESTIMATOR).binomial(model.n, q, size=replicates)
+    return _window_report(np.maximum(counts, 1), model, c_u, c_d, capital_c_d, zeta, seed)
 
 
 # ---------------------------------------------------------------------------

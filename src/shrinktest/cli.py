@@ -17,6 +17,7 @@ import numpy as np
 
 from .adaptive import horseshoe_family, simple_count_estimator, verify_condition4
 from .harness import (
+    MAX_ABS_X,
     MX_COLUMNS,
     RISK_COLUMNS,
     ConfigError,
@@ -143,8 +144,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mx(args) -> int:
     prior = parse_prior_spec(args.prior)
+    xs = _parse_x_values(args.x)
+    if not all(abs(x) <= MAX_ABS_X for x in xs):
+        raise ValueError(f"--x must hold only |x| <= {MAX_ABS_X:g}, got {args.x!r}")
     table = ResultTable(list(MX_COLUMNS))
-    append_mx_rows(table, prior, _parse_x_values(args.x))
+    append_mx_rows(table, prior, xs)
     _emit(table.csv_text(), args.out)
     return EXIT_OK
 

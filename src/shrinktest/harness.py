@@ -46,10 +46,14 @@ __all__ = [
     "emit_plot_script",
     "append_mx_rows",
     "MX_COLUMNS",
+    "MAX_ABS_X",
     "RISK_COLUMNS",
 ]
 
 MX_COLUMNS = ["x", "m_x", "posterior_mean"]
+
+# The largest |x| at which every built-in family gives m_x; an m_x grid past it is rejected.
+MAX_ABS_X = 1e5
 
 RISK_COLUMNS = [
     "n", "p", "alpha", "x_star", "type1", "type2", "bayes_risk", "oracle_risk",
@@ -165,7 +169,9 @@ class ExperimentConfig:
     c1: float | str = _field("signal.c1", _c1, _MINIMAX, (
         lambda v: v == "auto" or (math.isfinite(v) and v >= 0.0),
         "must be 'auto' or a finite number >= 0"), default="auto")
-    x_grid: tuple[float, ...] = _field("mx.x", _floats, ("mx_curve",), default=())
+    x_grid: tuple[float, ...] = _field("mx.x", _floats, ("mx_curve",), (
+        lambda v: all(abs(x) <= MAX_ABS_X for x in v), f"must hold only |x| <= {MAX_ABS_X:g}"),
+        default=())
     sweep_magnitudes: tuple[float, ...] = _field("sweep.magnitudes", _floats, _MINIMAX, (
         lambda v: all(map(_FINITE_NONZERO[0], v)), _FINITE_NONZERO[1]), default=())
     c_u: float = _field("c_u", float, ("adaptive",), (lambda v: v > 0.0, "must be > 0"), default=2.0)
@@ -187,6 +193,9 @@ class ExperimentConfig:
         if self.kind == "risk_bayes" and self.draws < self.replicates:
             raise ConfigError("experiment.draws", f"must be >= replicates = {self.replicates} "
                               f"(one batch of draws per replicate), got {self.draws!r}")
+        if self.kind == "risk_minimax" and not float(self.prior.p).is_integer():
+            raise ConfigError("prior.p", "must be a whole number for risk_minimax (the signal has "
+                              f"p coordinates), got {self.prior.p!r}")
         if self.kind == "risk_minimax" and self.signal_rule == "fixed" and self.signal_magnitude is None:
             raise ConfigError("signal.magnitude", "required when signal.rule = fixed")
         if self.kind == "mx_curve" and not self.x_grid:
@@ -359,7 +368,7 @@ def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:
     x_star = curve.decision_threshold(config.alpha)
     c, big_c = certified_constants(prior)
     bound = minimax_risk_bound(config.lam, config.alpha, big_c, c, config.v_n)
-    n, p = prior.n, int(round(prior.p))
+    n, p = prior.n, int(prior.p)
 
     if config.signal_rule == "fixed":
         rho = float(config.signal_magnitude)

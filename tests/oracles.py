@@ -22,7 +22,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from shrinktest.quadrature import DEFAULT_REL_TOL, NumericError, QuadratureError
-from shrinktest.rng import STREAM_NOISE, STREAM_TWO_GROUP, split_draws, substream
+from shrinktest.rng import STREAM_ESTIMATOR, STREAM_NOISE, STREAM_TWO_GROUP, split_draws, substream
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -331,7 +331,9 @@ def posterior_odds_root(n: int, p_n: float, psi_sq: float) -> float:
 # normals, then one binomial null count) and must match it exactly, and
 # fdp_fnp_full_mask draws all n coordinates, as the library did before.
 # It matches the library's FNP exactly for a signal on the first p_n
-# coordinates, and its FDR only in distribution.
+# coordinates, and its FDR only in distribution.  window_counts_full_mask
+# also draws all n coordinates, as verify_condition4 did before its one
+# binomial count per replicate, so the two agree only in distribution.
 # ---------------------------------------------------------------------------
 
 def signal_vector(signal) -> np.ndarray:
@@ -419,6 +421,17 @@ def oracle_comparison_full_mask(model, x_star: float, draws: int, seed: int, bat
         risk_diff=model.n * mean_d,
         risk_diff_se=model.n * math.sqrt(var_d / n_draws),
     )
+
+
+def window_counts_full_mask(model, replicates: int, seed: int) -> np.ndarray:
+    """Per-replicate p_hat from all n two-group values, each replicate on its own
+    (seed, replicate, STREAM_ESTIMATOR) stream, counted by simple_count_estimator."""
+    from shrinktest import simple_count_estimator
+
+    return np.array([
+        simple_count_estimator(model.sample(substream(seed, rep, STREAM_ESTIMATOR), model.n)[0]).p_hat
+        for rep in range(replicates)
+    ])
 
 
 def adaptive_losses_full_mask(prior_family, model, alpha: float, replicates: int, seed: int):

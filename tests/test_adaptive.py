@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.special import ndtr
+from scipy.stats import binom
 
 from shrinktest import (
     ShrinkageCurve,
@@ -22,7 +24,10 @@ from shrinktest import (
     threshold_test,
     verify_condition4,
 )
-from shrinktest.rng import substream
+from shrinktest import adaptive
+from shrinktest.adaptive import _window_report
+from shrinktest.rng import STREAM_ESTIMATOR, substream
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -68,29 +73,47 @@ class TestSimpleCountEstimator:
             SparsityEstimate(0.5)
 
 
-class TestVerifyCondition4:
-    def test_overestimating_rule_fails_upper(self, model):
-        overshoot = lambda data: SparsityEstimate(float(len(data)))
-        report = verify_condition4(overshoot, model, replicates=100, seed=1)
+def _count_law(model):
+    """q = P(|x| >= sqrt(2 log n)) for one two-group coordinate, the count's binomial rate."""
+    t = math.sqrt(2.0 * math.log(model.n))
+    frac = model.signal_fraction
+    return (1.0 - frac) * 2.0 * ndtr(-t) + frac * 2.0 * ndtr(-t / model.alt_sd)
+
+
+@pytest.fixture
+def window_p_hat(monkeypatch):
+    """The p_hat arrays verify_condition4 hands to _window_report, one per call."""
+    seen = []
+
+    def recording(p_hat, *args):
+        seen.append(p_hat)
+        return _window_report(p_hat, *args)
+
+    monkeypatch.setattr(adaptive, "_window_report", recording)
+    return seen
+
+
+class TestWindowReport:
+    def test_overestimate_fails_upper(self, model):
+        report = _window_report(np.full(100, float(model.n)), model, 2.0, 1.0, 2.0, 0.0, 1)
         assert report.freq_lower == 1.0
         assert report.freq_upper == 0.0
         assert not report.passed_upper
         assert not report.passed
 
-    def test_floor_rule_fails_lower_when_bound_exceeds_one(self, model):
-        floor = lambda data: SparsityEstimate(1.0)
+    def test_floor_fails_lower_when_bound_exceeds_one(self, model):
         # capital_c_d = 0 keeps the lower bound at p_n >> 1.
-        report = verify_condition4(floor, model, c_d=1.0, capital_c_d=0.0,
-                                   replicates=100, seed=1)
+        report = _window_report(np.ones(100), model, 2.0, 1.0, 0.0, 0.0, 1)
         assert report.passed_upper
         assert report.lower_bound_value > 1.0
         assert report.freq_lower == 0.0
         # A heavy discount pushes the bound below the floor, so it holds.
-        report2 = verify_condition4(floor, model, c_d=1.0, capital_c_d=3.0,
-                                    replicates=100, seed=1)
+        report2 = _window_report(np.ones(100), model, 2.0, 1.0, 3.0, 0.0, 1)
         assert report2.lower_bound_value <= 1.0
         assert report2.freq_lower == 1.0
 
+
+class TestVerifyCondition4:
     def test_simple_estimator_passes_at_sqrt_n(self, model):
         report = verify_condition4(
             simple_count_estimator, model, c_u=2.0, zeta=0.0, replicates=400, seed=2
@@ -112,6 +135,55 @@ class TestVerifyCondition4:
         report = verify_condition4(simple_count_estimator, model, replicates=100, seed=0)
         parsed = json.loads(json.dumps(report.to_record()))
         assert parsed["replicates"] == 100
+
+    def test_stand_in_estimator_is_rejected(self, model):
+        floor = lambda data: SparsityEstimate(1.0)
+        with pytest.raises(ValueError, match="estimator"):
+            verify_condition4(floor, model, replicates=100, seed=0)
+
+    def test_one_binomial_count_per_replicate(self, model, window_p_hat, monkeypatch):
+        # No full-length draw and no thread pool: one binomial(n, q) draw on (seed, 0, STREAM_ESTIMATOR).
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_condition4 must not draw or map replicates")
+
+        monkeypatch.setattr(TwoGroupModel, "sample", forbidden)
+        monkeypatch.setattr(adaptive, "map_replicates", forbidden)
+        verify_condition4(simple_count_estimator, model, replicates=200, seed=9, threads=4)
+        counts = substream(9, 0, STREAM_ESTIMATOR).binomial(model.n, _count_law(model), size=200)
+        np.testing.assert_array_equal(window_p_hat[0], np.maximum(counts, 1))
+
+    def test_prefix_stable_in_replicates(self, model, window_p_hat):
+        verify_condition4(simple_count_estimator, model, replicates=200, seed=9)
+        verify_condition4(simple_count_estimator, model, replicates=100, seed=9)
+        long, short = window_p_hat
+        np.testing.assert_array_equal(long[:100], short)
+
+    def test_count_matches_full_length_draws_in_distribution(self, model, window_p_hat):
+        # 400 replicates a side; oracle seed 31, count seed 32.  Both mean p_hat
+        # lie within 4 combined SE of each other and of n q (about 7.2 here).
+        full = oracles.window_counts_full_mask(model, 400, seed=31)
+        verify_condition4(simple_count_estimator, model, replicates=400, seed=32)
+        (counts,) = window_p_hat
+        se_full, se_counts = (np.std(a, ddof=1) / math.sqrt(len(a)) for a in (full, counts))
+        combined = math.hypot(se_full, se_counts)
+        expected = model.n * _count_law(model)
+        assert abs(full.mean() - counts.mean()) <= 4.0 * combined
+        assert abs(full.mean() - expected) <= 4.0 * se_full
+        assert abs(counts.mean() - expected) <= 4.0 * se_counts
+
+    @pytest.mark.parametrize("n", [10**4, 10**6, 10**8])
+    def test_window_rates_in_n(self, n):
+        # p = sqrt(n), 1000 replicates: both events pass, and each frequency lies
+        # within 4 SE of its binomial(n, q) probability.
+        p = math.sqrt(n)
+        big = TwoGroupModel.from_c_psi(n, p, 1.0)
+        report = verify_condition4(simple_count_estimator, big, replicates=1000, seed=17)
+        assert report.passed
+        law = binom(n, _count_law(big))
+        p_upper = law.cdf(math.floor(report.c_u * p))
+        p_lower = law.sf(math.ceil(report.lower_bound_value) - 1)
+        for freq, prob in ((report.freq_upper, p_upper), (report.freq_lower, p_lower)):
+            assert abs(freq - prob) <= 4.0 * math.sqrt(prob * (1.0 - prob) / 1000)
 
 
 class TestAdaptiveThresholdTest:

@@ -105,6 +105,24 @@ class TestMx:
         _, second, _ = run_cli(capsys, "mx", "--prior", PRIOR, "--x", "0:4:1")
         assert first == second
 
+    @pytest.mark.parametrize("prior, x", [
+        (PRIOR, "1e20"),  # was exit 3: non-finite integrand
+        ("exponential:rate=1,n=10000,p=100", "1e8"),  # was exit 3
+        (PRIOR, "0:2e5:1e5"),
+        (PRIOR, "nan"),
+    ])
+    def test_x_past_float_range_exits_2_naming_x(self, capsys, prior, x):
+        code, out, err = run_cli(capsys, "mx", "--prior", prior, "--x", x)
+        assert code == EXIT_VALIDATION
+        assert "validation error: --x must hold only |x| <= 100000" in err
+        assert out == ""
+
+    def test_largest_accepted_x(self, capsys):
+        code, out, _ = run_cli(capsys, "mx", "--prior", "exponential:rate=1,n=10000,p=100",
+                               "--x=-1e5,1e5")
+        assert code == EXIT_OK
+        assert [0.0 < float(row[1]) < 1.0 for row in _csv_rows(out)[1:]] == [True, True]
+
     @pytest.mark.parametrize("x", ["0:inf:1", "0:nan:1", "5:0:1", "0:1:0"])
     def test_bad_range_exits_before_any_output(self, capsys, x):
         code, out, err = run_cli(capsys, "mx", "--prior", PRIOR, "--x", x)
@@ -261,6 +279,15 @@ class TestRiskMinimax:
         assert code == EXIT_OK
         assert compute_calls == ["decision_threshold"]
 
+    def test_non_integer_p_exits_2_naming_p(self, capsys, compute_calls):
+        # Was exit 0: x* at p = 100.5 but a signal of round(p) = 100 coordinates.
+        code, out, err = run_cli(capsys, "risk-minimax", "--prior",
+                                 "horseshoe:tau=0.01005,n=10000,p=100.5", "--replicates", "10")
+        assert code == EXIT_VALIDATION
+        assert "validation error: prior.p: must be a whole number" in err
+        assert out == ""
+        assert compute_calls == []
+
     def test_calibration_failure_exit(self, capsys):
         # The weight crosses 1/2 near x = 30, past the calibration grid's
         # top at the search cap (about 21.6 for n/p = 10/3).
@@ -399,6 +426,7 @@ class TestConfigValidatedAtLoad:
         ("signal.v_n", "-1"),
         ("experiment.c_u", "0"),
         ("experiment.zeta", "-0.5"),
+        ("mx.x", "0,1e20"),
     ])
     def test_bad_field_exits_before_any_output(self, capsys, tmp_path, field, value):
         out = tmp_path / "o.csv"

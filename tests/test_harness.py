@@ -21,7 +21,7 @@ from shrinktest import (
     run_experiment,
 )
 from shrinktest.cli import EXIT_OK, main
-from shrinktest.harness import ResultTable
+from shrinktest.harness import MAX_ABS_X, ResultTable
 from shrinktest.priors import parse_prior_spec
 from shrinktest import rng
 from shrinktest.risk import _report_from_counts, two_group_risk_mc
@@ -130,6 +130,8 @@ def _configs(draw):
     number = draw(hst.sampled_from([float, np.float64]))
     n = draw(hst.integers(2, 10**7))
     p = draw(hst.floats(0.0, n, exclude_min=True, exclude_max=True))
+    if kind == "risk_minimax":  # its signal has p coordinates
+        p = float(draw(hst.integers(1, n - 1)))
     prior = horseshoe_prior(draw(_unit()), n, p)
     if kind != "adaptive" and draw(hst.booleans()):
         prior = exponential_prior(draw(_finite(1e-3)), n, p)
@@ -147,7 +149,8 @@ def _configs(draw):
         signal_rule=rule, signal_magnitude=None if magnitude is None else number(magnitude),
         v_n=number(draw(_finite(0.0))),
         c1=draw(hst.just("auto") | _finite(0.0).map(number)),
-        x_grid=tuple(map(number, draw(hst.lists(_finite(), min_size=1, max_size=5)))),
+        x_grid=tuple(map(number, draw(hst.lists(hst.floats(-MAX_ABS_X, MAX_ABS_X), min_size=1,
+                                                max_size=5)))),
         sweep_magnitudes=tuple(map(number, draw(hst.lists(nonzero, max_size=5)))),
         c_u=number(draw(_finite(0.0, exclude_min=True))), zeta=number(draw(_finite(0.0))),
     )
@@ -211,6 +214,15 @@ class TestLoadConfig:
         path = tmp_path_factory.mktemp("echo") / "exp.ini"
         path.write_text(echo_ini(table.csv_text()), encoding="utf-8")
         assert load_config(str(path)).meta() == config.meta()
+
+    def test_mx_grid_past_float_range_is_field_error(self, tmp_path):
+        text = ("[experiment]\nkind = mx_curve\nseed = 0\n\n[prior]\nfamily = horseshoe\n"
+                "tau = 0.05\nn = 1000\np = 50\n\n[mx]\nx = 0,1e20\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, text))
+        assert err.value.field_name == "mx.x"
+        accepted = text.replace("1e20", f"{-MAX_ABS_X!r},{MAX_ABS_X!r}")
+        assert load_config(write_config(tmp_path, accepted)).x_grid == (0.0, -MAX_ABS_X, MAX_ABS_X)
 
     def test_risk_bayes_draws_below_replicates_is_field_error(self, tmp_path):
         # Each replicate is one batch of the draws, so no batch may be empty.

@@ -327,6 +327,17 @@ class TestCountedKernels:
         np.testing.assert_array_equal(fdp, want_fdp)
         np.testing.assert_array_equal(fnp, want_fnp)
 
+    def test_fdp_fnp_run_serially_at_any_thread_count(self, monkeypatch):
+        # A replicate costs microseconds, so no thread count hands replicates to a pool.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fdp_fnp_replicates must not map its replicates")
+
+        monkeypatch.setattr(risk, "map_replicates", forbidden)
+        fdp, fnp = fdp_fnp_replicates(_scattered_signal(), 2.7, 12, seed=8, threads=4)
+        want_fdp, want_fnp = oracles.fdp_fnp_counts(_scattered_signal(), 2.7, 12, seed=8)
+        np.testing.assert_array_equal(fdp, want_fdp)
+        np.testing.assert_array_equal(fnp, want_fnp)
+
     @pytest.mark.parametrize("threads", [1, 4])
     def test_flat_signal_fnp_matches_full_masks(self, threads):
         # On the first p coordinates the signal takes the full-length draw's first p normals.
