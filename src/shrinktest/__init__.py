@@ -67,7 +67,7 @@ from .risk import (
     separation_rate,
     two_group_risk_mc,
 )
-from .rng import map_replicates, substream
+from .rng import map_replicates, substream, substreams
 from .shrinkage import AlwaysReject, NoCrossing, ShrinkageCurve, large_signal_threshold
 from .testing import (
     DecisionVector,

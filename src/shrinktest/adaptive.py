@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .priors import ScaleMixturePrior, horseshoe_prior
-from .rng import STREAM_ESTIMATOR, STREAM_TWO_GROUP, map_replicates, substream
+from .rng import STREAM_ESTIMATOR, STREAM_TWO_GROUP, map_replicates, substream, substreams
 from .risk import RiskReport, _error_counts, null_rejection_rate, standard_error
 from .shrinkage import ShrinkageCurve
 from .testing import DecisionVector, TwoGroupModel
@@ -275,13 +275,16 @@ def adaptive_risk_replicates(
                 cache[p_hat] = _plug_in_threshold(model.n, p_hat, alpha)
             return cache[p_hat]
 
-    def one(rep: int) -> tuple[float, float]:
-        x, signal_idx = model.sample(substream(seed, rep, STREAM_TWO_GROUP), model.n)
+    def one(rng: np.random.Generator) -> tuple[float, float]:
+        x, signal_idx = model.sample(rng, model.n)
         p_hat = simple_count_estimator(x).p_hat
         fp, fn = _error_counts(np.abs(x, out=x), signal_idx, cut_for(p_hat))
         return float(fp + fn), p_hat
 
-    pairs = np.array(map_replicates(one, replicates, threads))
+    def chunk(part: range) -> list[tuple[float, float]]:
+        return [one(rng) for rng in substreams(seed, part, STREAM_TWO_GROUP)]
+
+    pairs = np.array(map_replicates(chunk, replicates, threads))
     return pairs[:, 0], pairs[:, 1]
 
 

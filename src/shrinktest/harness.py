@@ -156,7 +156,7 @@ class ExperimentConfig:
     )
     alpha: float = _field("test.alpha", float, rule=_IN_UNIT, default=0.5)
     replicates: int = _field("replicates", int, rule=_AT_LEAST_1, default=1)
-    seed: int = _field("seed", int)
+    seed: int = _field("seed", int, rule=(lambda v: 0 <= v < 1 << 64, "must lie in [0, 2^64)"))
     threads: int = _field("threads", int, rule=_AT_LEAST_1, default=1)
     out: str | None = _field("out", echo=(), default=None)
     draws: int = _field("draws", int, ("risk_bayes",), _AT_LEAST_1, default=10000)

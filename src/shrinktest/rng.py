@@ -2,18 +2,21 @@
 
 Each (seed, replicate, stream) triple keys an independent Philox
 generator, so replicate results never depend on execution order or on
-how work is split across threads.
+how work is split across threads.  Philox is a keyed bijection of its
+counter, so assigning a new key to an existing generator gives exactly
+the stream of a fresh one: `substream` builds a fresh generator for a
+one-off key, and `substreams` re-keys one generator per replicate.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+_REPLICATE_BITS = 48  # the low bits of the key's second word; the stream takes the top 16
 
 # Stream identifiers; one per independent source of randomness.
 STREAM_NOISE = 0
@@ -23,15 +26,45 @@ STREAM_ESTIMATOR = 2
 T = TypeVar("T")
 
 
+def _key(seed: int, replicate: int, stream: int) -> list[int]:
+    """The Philox key of (seed, replicate, stream): [seed, stream << 48 | replicate].
+
+    A value outside its field would alias another key, so it is rejected.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed!r}")
+    if not 0 <= replicate < 1 << _REPLICATE_BITS:
+        raise ValueError(f"replicate must lie in [0, 2^48), got {replicate!r}")
+    if not 0 <= stream < 1 << (64 - _REPLICATE_BITS):
+        raise ValueError(f"stream must lie in [0, 2^16), got {stream!r}")
+    return [seed, stream << _REPLICATE_BITS | replicate]
+
+
 def substream(seed: int, replicate: int = 0, stream: int = 0) -> np.random.Generator:
-    """Return the generator keyed by (seed, replicate, stream)."""
-    if replicate < 0 or stream < 0:
-        raise ValueError("replicate and stream must be nonnegative")
-    key = np.array(
-        [seed & _MASK64, ((stream & 0xFFFF) << 48) | (replicate & ((1 << 48) - 1))],
-        dtype=np.uint64,
-    )
+    """Return a fresh generator keyed by (seed, replicate, stream)."""
+    key = np.array(_key(seed, replicate, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def substreams(
+    seed: int, replicates: Iterable[int], stream: int = 0
+) -> Iterator[np.random.Generator]:
+    """Yield the generator of (seed, r, stream) for each r in replicates.
+
+    One generator is built per call and re-keyed for each replicate: its
+    key is set, its counter zeroed and its buffers emptied, so it draws
+    exactly what substream(seed, r, stream) would.  A yielded generator
+    stays valid until the next one is yielded.
+    """
+    key = [0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    for replicate in replicates:
+        key[:] = _key(seed, replicate, stream)
+        bitgen.state = state
+        yield gen
 
 
 def _usable_cpus() -> int:
@@ -42,23 +75,28 @@ def _usable_cpus() -> int:
 
 
 def map_replicates(
-    fn: Callable[[int], T],
+    fn: Callable[[range], Sequence[T]],
     replicates: int,
     threads: int = 1,
 ) -> list[T]:
-    """Evaluate fn(0..replicates-1), optionally on a thread pool.
+    """Evaluate replicates 0..replicates-1 as fn(chunk) over contiguous chunks.
 
-    Results are returned indexed by replicate, so serial and parallel
-    schedules produce identical output.  The pool never has more
-    workers than the process may run on at once.
+    fn returns one result per replicate of its chunk, in order.  Serially
+    the one chunk is range(replicates); on a pool each worker gets one
+    contiguous chunk, so it can re-key one generator across it.  The pool
+    never has more workers than the process may run on at once, and the
+    results are indexed by replicate whatever the schedule.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    threads = min(threads, _usable_cpus())
-    if threads <= 1 or replicates == 1:
-        return [fn(i) for i in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(replicates)))
+    workers = min(threads, _usable_cpus(), replicates)
+    if workers <= 1:
+        return list(fn(range(replicates)))
+    base, rem = divmod(replicates, workers)  # chunk sizes as in split_draws
+    starts = [i * base + min(i, rem) for i in range(workers + 1)]
+    chunks = [range(a, b) for a, b in zip(starts, starts[1:])]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [result for chunk in pool.map(fn, chunks) for result in chunk]
 
 
 def split_draws(total: int, parts: int) -> Sequence[int]:

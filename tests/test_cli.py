@@ -332,6 +332,21 @@ class TestRiskFlagsCheckedAsConfig:
         assert out == ""
         assert compute_calls == []
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("argv", [
+        ["risk-minimax", "--prior", "horseshoe:tau=0.01,n=10000,p=100", "--v-n", "3",
+         "--replicates", "20"],
+        RISK_BAYES,
+        ["adaptive", "--n", "1000", "--p", "50"],
+    ])
+    def test_seed_outside_64_bits_exits_2_naming_seed(self, capsys, compute_calls, argv, seed):
+        # Was exit 0 with the numbers of seed 2^64 - 1 (for -1) or 0 (for 2^64).
+        code, out, err = run_cli(capsys, *argv, "--seed", seed)
+        assert code == EXIT_VALIDATION
+        assert "experiment.seed" in err
+        assert out == ""
+        assert compute_calls == []
+
 
 class TestSimulate:
     def test_runs_config(self, capsys, tmp_path):

@@ -25,7 +25,7 @@ from shrinktest.harness import MAX_ABS_X, ResultTable
 from shrinktest.priors import parse_prior_spec
 from shrinktest import rng
 from shrinktest.risk import _report_from_counts, two_group_risk_mc
-from shrinktest.rng import STREAM_TWO_GROUP, map_replicates, split_draws, substream
+from shrinktest.rng import STREAM_TWO_GROUP, map_replicates, split_draws, substream, substreams
 from shrinktest.shrinkage import ShrinkageCurve
 import oracles
 from test_golden import echo_ini
@@ -169,6 +169,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, text))
         assert err.value.field_name == "experiment.seed"
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_field_error(self, tmp_path, seed):
+        # Was accepted: -1 drew the streams of 2^64 - 1, and 2^64 those of 0.
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, BASE_CONFIG.replace("seed = 11", f"seed = {seed}")))
+        assert err.value.field_name == "experiment.seed"
+        top = BASE_CONFIG.replace("seed = 11", "seed = 18446744073709551615")
+        assert load_config(write_config(tmp_path, top)).seed == 2**64 - 1
 
     def test_unknown_kind(self, tmp_path):
         text = BASE_CONFIG.replace("kind = risk_bayes", "kind = banana")
@@ -650,14 +659,18 @@ class TestRngHelpers:
         assert not np.allclose(base, other_stream)
 
     def test_map_replicates_order(self):
-        serial = map_replicates(lambda i: i * i, 9, threads=1)
-        parallel = map_replicates(lambda i: i * i, 9, threads=4)
+        # fn gets contiguous chunks and returns one result per replicate in each.
+        def squares(part):
+            return [i * i for i in part]
+
+        serial = map_replicates(squares, 9, threads=1)
+        parallel = map_replicates(squares, 9, threads=4)
         assert serial == parallel == [i * i for i in range(9)]
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
-        # The stand-in pool records its size and maps in this thread, so no
-        # worker thread starts whatever size is asked for.
-        sizes = []
+        # The stand-in pool records its size and its chunks and maps in this
+        # thread, so no worker thread starts whatever size is asked for.
+        sizes, chunks = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -670,19 +683,61 @@ class TestRngHelpers:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                chunks.append(list(items))
+                return map(fn, chunks[-1])
+
+        def squares(part):
+            return [i * i for i in part]
 
         monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
         want = [i * i for i in range(9)]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert map_replicates(lambda i: i * i, 9, threads=64) == want
-        assert map_replicates(lambda i: i * i, 9, threads=2) == want
+        assert map_replicates(squares, 9, threads=64) == want
+        assert map_replicates(squares, 9, threads=2) == want
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert map_replicates(lambda i: i * i, 9, threads=64) == want
+        assert map_replicates(squares, 9, threads=64) == want
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no pool
-        assert map_replicates(lambda i: i * i, 9, threads=64) == want
+        assert map_replicates(squares, 9, threads=64) == want
         assert sizes == [3, 2, 5]
+        # One contiguous chunk per worker, sized as split_draws sizes batches.
+        assert chunks == [
+            [range(0, 3), range(3, 6), range(6, 9)],
+            [range(0, 5), range(5, 9)],
+            [range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 9)],
+        ]
+
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_rekeyed_generator_draws_as_fresh_philox(self, seed, stream):
+        # substreams re-keys one generator through numpy's Philox state dict;
+        # it must draw what a fresh Philox on the documented key draws, also
+        # after the previous replicate left it mid-buffer with a spare uint32.
+        def draws(gen):
+            return [gen.standard_normal(5), gen.random(4), gen.binomial(10**8, 0.01, size=3),
+                    gen.binomial(40, 0.3, size=3), gen.integers(0, 1000, size=5, dtype=np.uint32)]
+
+        replicates = [0, 1, 2**48 - 1]
+        built = 0
+        for replicate, gen in zip(replicates, substreams(seed, replicates, stream)):
+            key = np.array([seed, stream << 48 | replicate], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            for got, want in zip(draws(gen), draws(fresh)):
+                np.testing.assert_array_equal(got, want)
+            state = gen.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+            built += 1
+        assert built == len(replicates)
+
+    @pytest.mark.parametrize("seed, replicate, stream", [
+        (-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 2**48, 0), (0, 0, -1), (0, 0, 2**16),
+    ])
+    def test_key_fields_outside_their_bits_raise(self, seed, replicate, stream):
+        # Each would alias another key, as seed & (2^64 - 1) and the 48/16-bit masks did.
+        with pytest.raises(ValueError):
+            substream(seed, replicate, stream)
+        with pytest.raises(ValueError):
+            next(substreams(seed, [replicate], stream))
 
     def test_split_draws(self):
         parts = split_draws(103, 10)

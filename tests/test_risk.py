@@ -381,12 +381,31 @@ class TestCountedKernels:
 
     @pytest.mark.parametrize("x_star", [-1.0, -1e-300, math.nan])
     def test_bad_cut_rejected_before_any_draw(self, x_star, monkeypatch):
-        def no_draws(*args):
+        def no_draws(*args, **kwargs):
             raise AssertionError("drew before validating x_star")
 
-        monkeypatch.setattr(risk, "substream", no_draws)
+        signal = _scattered_signal()
+        monkeypatch.setattr(risk, "substreams", no_draws)
+        monkeypatch.setattr(np.random, "Philox", no_draws)  # any other route to a draw
         with pytest.raises(ValueError, match="x_star"):
-            fdp_fnp_replicates(_scattered_signal(), x_star, 5, seed=8)
+            fdp_fnp_replicates(signal, x_star, 5, seed=8)
+
+    def test_fdp_fnp_builds_at_most_one_philox(self, monkeypatch):
+        # The replicates re-key one generator in place of building one each.
+        signal = flat_signal(10**4, 100, 5.0)
+        want_fdp, want_fnp = oracles.fdp_fnp_counts(signal, 3.0, 200, seed=8)
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        fdp, fnp = fdp_fnp_replicates(signal, 3.0, 200, seed=8)
+        assert len(built) <= 1
+        np.testing.assert_array_equal(fdp, want_fdp)
+        np.testing.assert_array_equal(fnp, want_fnp)
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_fdr_fnr_report_matches_counts_oracle(self, curve, threads):
