@@ -362,17 +362,24 @@ def _two_group_counts(
 ) -> np.ndarray:
     """The batch kernel of every two-group Monte Carlo path: one count row per batch.
 
-    Batch b draws its split_draws(draws, batches)[b] share on key
-    (seed, b, STREAM_TWO_GROUP); its row holds those draws, its signals,
-    then fp and fn for each cut.
+    Batch b draws its m = split_draws(draws, batches)[b] share on key
+    (seed, b, STREAM_TWO_GROUP): first its signal count k ~ binomial(m, p_n/n),
+    then m standard normals, of which the first k, scaled by alt_sd, are the
+    signals.  This is exact in distribution: the labels are i.i.d. and the
+    normals exchangeable, so only the count of signals matters.  Every draw
+    is still compared with every cut.  The row holds m, k, then fp and fn
+    for each cut.
     """
     sizes = split_draws(draws, batches)
 
     def row(batch: int, rng: np.random.Generator) -> list[int]:
-        x, signal_idx = model.sample(rng, sizes[batch])
+        m = sizes[batch]
+        k = int(rng.binomial(m, model.signal_fraction))
+        x = rng.standard_normal(m)
+        x[:k] *= model.alt_sd
         np.abs(x, out=x)
-        return [sizes[batch], len(signal_idx), *(
-            k for cut in cuts for k in _error_counts(x, signal_idx, cut))]
+        return [m, k, *(c for cut in cuts for c in (
+            int(np.count_nonzero(x[k:] > cut)), k - int(np.count_nonzero(x[:k] > cut))))]
 
     def chunk(part: range) -> list[list[int]]:
         return [row(b, rng) for b, rng in zip(part, substreams(seed, part, STREAM_TWO_GROUP))]

@@ -89,7 +89,8 @@ class TwoGroupModel:
 
     def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (x, signal_idx) for size coordinates: labels, then normals,
-        then the signal rescaling, the stream layout every MC path keys on.
+        then the signal rescaling.  Only the adaptive risk replicates draw
+        this layout; the two-group batch kernel draws a signal count instead.
 
         signal_idx holds the sorted indices of the signal coordinates
         (those whose uniform label fell below p_n/n), not a boolean mask.

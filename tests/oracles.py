@@ -9,8 +9,8 @@ and integrate_unit were the certificates' integrators, and
 quadpack_weight (on integrate_unit_vec) was the shrinkage kernel's
 fallback for m_x.  They stay here as a second, independent route to
 the same integrals.  The Monte Carlo kernels in between count errors
-with boolean masks; the FDR + FNR ones give the library's draw layout
-and the full-length one it replaced.
+with boolean masks; the FDR + FNR and two-group ones give the library's
+draw layout and the one it replaced.
 """
 
 import math
@@ -324,9 +324,13 @@ def posterior_odds_root(n: int, p_n: float, psi_sq: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo kernels with plain boolean masks.  The two-group and adaptive
-# ones draw on the library's streams in its draw order, so the library must
-# reproduce their arrays and reports exactly.  The FDR + FNR replicates
+# Monte Carlo kernels with plain boolean masks.  The two-group batches have
+# two layouts: two_group_sample_counts follows the library's (one binomial
+# signal count, then the normals) and must match it exactly, and
+# two_group_sample_mask draws a uniform label per coordinate, as the
+# library did before, and agrees with it only in distribution.  The
+# adaptive one draws on the library's streams in its draw order, so the
+# library must reproduce its arrays exactly.  The FDR + FNR replicates
 # have two: fdp_fnp_counts follows the library's layout (p_n signal
 # normals, then one binomial null count) and must match it exactly, and
 # fdp_fnp_full_mask draws all n coordinates, as the library did before.
@@ -373,18 +377,32 @@ def fdp_fnp_counts(signal, x_star: float, replicates: int, seed: int):
 
 
 def two_group_sample_mask(model, rng, size: int):
-    """(x, is_signal) with a boolean label mask, in the library's draw order."""
+    """(x, is_signal) from a uniform label per coordinate, in TwoGroupModel.sample's draw order."""
     is_signal = rng.random(size) < model.signal_fraction
     x = rng.standard_normal(size)
     x[is_signal] *= model.alt_sd
     return x, is_signal
 
 
-def two_group_counts_full_mask(model, cuts, draws: int, seed: int, batches: int = 64):
+def two_group_sample_counts(model, rng, size: int):
+    """(x, is_signal) in the library's count layout: a binomial(size, p_n/n)
+    signal count k, then size normals, of which the first k are the signals."""
+    k = int(rng.binomial(size, model.signal_fraction))
+    x = rng.standard_normal(size)
+    is_signal = np.arange(size) < k
+    x[is_signal] *= model.alt_sd
+    return x, is_signal
+
+
+def two_group_counts_full_mask(model, cuts, draws: int, seed: int, batches: int = 64,
+                               sample=two_group_sample_mask):
     """Per-cut (fp, fn) totals, paired loss-difference sums, signal and draw counts.
 
-    Each cut builds its full-length loss array; with two cuts the paired
-    difference is summed coordinate by coordinate, plain and absolute.
+    Each batch draws from sample on its own substream; each cut builds its
+    full-length loss array, and with two cuts the paired difference is
+    summed coordinate by coordinate, plain and absolute.  The default
+    sample is the uniform-label layout; two_group_sample_counts gives the
+    library's count layout.
     """
     fp_fn = np.zeros((len(cuts), 2), dtype=np.int64)
     diff = np.zeros(2, dtype=np.int64)
@@ -392,7 +410,7 @@ def two_group_counts_full_mask(model, cuts, draws: int, seed: int, batches: int 
     for batch, m in enumerate(split_draws(draws, batches)):
         if m == 0:
             continue
-        x, is_signal = two_group_sample_mask(model, substream(seed, batch, STREAM_TWO_GROUP), m)
+        x, is_signal = sample(model, substream(seed, batch, STREAM_TWO_GROUP), m)
         n_signal += int(is_signal.sum())
         losses = []
         for k, cut in enumerate(cuts):
@@ -405,12 +423,13 @@ def two_group_counts_full_mask(model, cuts, draws: int, seed: int, batches: int 
     return fp_fn, diff, n_signal, draws
 
 
-def oracle_comparison_full_mask(model, x_star: float, draws: int, seed: int, batches: int = 64):
+def oracle_comparison_full_mask(model, x_star: float, draws: int, seed: int, batches: int = 64,
+                                sample=two_group_sample_mask):
     """oracle_comparison_mc from the full-length counts and paired loss sums."""
     from shrinktest.risk import TwoGroupComparison, _report_from_counts
 
     fp_fn, diff, n_signal, n_draws = two_group_counts_full_mask(
-        model, (float(x_star), model.oracle_cutoff()), draws, seed, batches
+        model, (float(x_star), model.oracle_cutoff()), draws, seed, batches, sample
     )
     reports = [_report_from_counts(model, int(fp), int(fn), n_signal, n_draws) for fp, fn in fp_fn]
     mean_d = diff[0] / n_draws

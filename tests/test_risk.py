@@ -428,7 +428,8 @@ class TestCountedKernels:
         # The oracle cut sits above x* for shift = -1 and below it for +1.
         x_star = model.oracle_cutoff() + shift
         got = oracle_comparison_mc(model, x_star, draws=60000, seed=13, threads=threads)
-        assert got == oracles.oracle_comparison_full_mask(model, x_star, 60000, seed=13)
+        assert got == oracles.oracle_comparison_full_mask(
+            model, x_star, 60000, seed=13, sample=oracles.two_group_sample_counts)
         assert got.risk_diff_se > 0.0
 
     @pytest.mark.parametrize("threads", [1, 4])
@@ -437,8 +438,34 @@ class TestCountedKernels:
         # 40 draws leave most of the 64 batches empty.
         x_star = model.oracle_cutoff()
         got = two_group_risk_mc(model, x_star, draws=draws, seed=3, threads=threads)
-        want = oracles.oracle_comparison_full_mask(model, x_star, draws, seed=3).threshold
+        want = oracles.oracle_comparison_full_mask(
+            model, x_star, draws, seed=3, sample=oracles.two_group_sample_counts).threshold
         assert got == want
+
+    def test_two_group_counts_agree_with_full_masks_in_distribution(self, model):
+        # One binomial signal count replaces a uniform label per draw.  Over
+        # 200 seeds of 5,000 draws per side (the kernel on seeds 0-199, the
+        # uniform-label masks on 200-399), the mean signal, fp and fn counts
+        # per seed agree with each other within 4 combined SE, and each side
+        # with bayes_risk_analytic within 4 SE.
+        cuts, m, seeds = (2.5, model.oracle_cutoff()), 5000, 200
+        got = np.vstack([risk._two_group_counts(model, cuts, m, seed, 1, batches=1)
+                         for seed in range(seeds)])[:, 1:]
+        want = np.array([[n_signal, *fp_fn.ravel()] for fp_fn, _, n_signal, _ in (
+            oracles.two_group_counts_full_mask(model, cuts, m, seed, batches=1)
+            for seed in range(seeds, 2 * seeds))])
+        f = model.signal_fraction
+        exact = [m * f]
+        for cut in cuts:
+            rates = bayes_risk_analytic(model, cut)
+            exact += [m * (1.0 - f) * rates.type1, m * f * rates.type2]
+        for column, mean in enumerate(exact):
+            a, b = got[:, column].astype(float), want[:, column].astype(float)
+            se_a, se_b = standard_error(a), standard_error(b)
+            assert se_a > 0.0 and se_b > 0.0
+            assert abs(a.mean() - b.mean()) <= 4.0 * math.hypot(se_a, se_b)
+            assert abs(a.mean() - mean) <= 4.0 * se_a
+            assert abs(b.mean() - mean) <= 4.0 * se_b
 
     def test_sample_returns_the_label_mask_indices(self, model):
         x, signal_idx = model.sample(substream(5, 0, 1), 20000)
