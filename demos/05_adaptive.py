@@ -35,9 +35,8 @@ print(f"p_hat = {result.estimate.p_hat:.0f} (true p = {p}), "
       f"rejections = {result.decisions.n_rejections}")
 
 # Does the estimator stay inside its window often enough?
-report = verify_condition4(
-    simple_count_estimator, model, c_u=2.0, zeta=0.0, replicates=500, seed=13, threads=4
-)
+report = verify_condition4(simple_count_estimator, model, c_u=2.0, zeta=0.0,
+                           replicates=500, seed=13)
 print("\nestimator window verification:")
 print(json.dumps(report.to_record(), indent=2))
 

@@ -211,7 +211,6 @@ def verify_condition4(
     zeta: float = 0.0,
     replicates: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> Condition4Report:
     """Estimate how often the estimator stays inside its guarantee window.
 
@@ -227,8 +226,8 @@ def verify_condition4(
     probability 0.  All replicates' counts come from one
     binomial(n, q, size=replicates) draw on the (seed, 0, STREAM_ESTIMATOR)
     stream, and p_hat = max(count, 1).  The layout holds only for
-    simple_count_estimator, the one estimator accepted.  threads has no
-    effect: a count costs less than handing it to a thread.
+    simple_count_estimator, the one accepted; estimator, replicates and
+    seed stay while the benchmark's mc workload passes them.
     """
     if estimator is not simple_count_estimator:
         raise ValueError(

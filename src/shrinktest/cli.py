@@ -38,20 +38,31 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 _VALIDATION_ERRORS = (ConfigError, DegenerateSparsityError, ValueError, OSError)
+# The most points an --x range may ask for: about 23 s of m_x kernel time (2-core x86-64 host).
+MAX_X_POINTS = 10**6
 
 
 def _parse_x_values(text: str) -> list[float]:
-    """Accept '0,0.5,1' or 'start:stop:step' (stop inclusive up to rounding)."""
+    """Accept '0,0.5,1' or 'start:stop:step' (stop inclusive up to rounding), all |x| <= MAX_ABS_X;
+    a range's start, stop and point count are checked before its points are built."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError("range form must be start:stop:step")
+            raise ValueError("--x range form must be start:stop:step")
         start, stop, step = (float(v) for v in parts)
         if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
-            raise ValueError("range needs finite values, step > 0 and stop >= start")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
-    return [float(v) for v in text.split(",") if v.strip()]
+            raise ValueError("--x range needs finite values, step > 0 and stop >= start")
+        if max(abs(start), abs(stop)) > MAX_ABS_X:
+            raise ValueError(f"--x must hold only |x| <= {MAX_ABS_X:g}, got {text!r}")
+        count = np.floor((stop - start) / step + 1e-9) + 1  # inf when the step is tiny
+        if not count <= MAX_X_POINTS:
+            raise ValueError(f"--x range must have at most {MAX_X_POINTS:g} points, got {text!r}")
+        values = [start + i * step for i in range(int(count))]
+    else:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    if not all(abs(x) <= MAX_ABS_X for x in values):
+        raise ValueError(f"--x must hold only |x| <= {MAX_ABS_X:g}, got {text!r}")
+    return values
 
 
 def _read_observations(path: str) -> list[float]:
@@ -82,31 +93,33 @@ def _emit(text: str, out: str | None) -> None:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (no clock seeding)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for replicates")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    # --out on every command, --seed where it draws, --threads where replicates map over a pool.
+    out, seed, threads = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    out.add_argument("--out", default=None, help="output path (default: stdout)")
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed (no clock seeding)")
+    threads.add_argument("--threads", type=int, default=1, help="worker threads for replicates")
+    seeded, threaded = [out, seed], [out, seed, threads]
 
     parser = argparse.ArgumentParser(prog="shrinktest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mx = sub.add_parser("mx", parents=[common], help="shrinkage weight curve as CSV")
+    p_mx = sub.add_parser("mx", parents=[out], help="shrinkage weight curve as CSV")
     p_mx.add_argument("--prior", required=True, help="family:key=value,... prior spec")
     p_mx.add_argument("--x", required=True, help="comma list or start:stop:step")
 
-    p_thr = sub.add_parser("threshold", parents=[common], help="decision threshold x*(alpha)")
+    p_thr = sub.add_parser("threshold", parents=[out], help="decision threshold x*(alpha)")
     p_thr.add_argument("--prior", required=True)
     p_thr.add_argument("--alpha", type=float, default=0.5)
 
-    p_test = sub.add_parser("test", parents=[common], help="run the threshold test on a data file")
+    p_test = sub.add_parser("test", parents=[out], help="run the threshold test on a data file")
     p_test.add_argument("--prior", required=True)
     p_test.add_argument("--alpha", type=float, default=0.5)
     p_test.add_argument("--input", required=True, help="one observation per line")
 
-    p_check = sub.add_parser("check-prior", parents=[common], help="condition certificates as JSON")
+    p_check = sub.add_parser("check-prior", parents=[out], help="condition certificates as JSON")
     p_check.add_argument("--prior", required=True)
 
-    p_rb = sub.add_parser("risk-bayes", parents=[common], help="two-group risk report as CSV")
+    p_rb = sub.add_parser("risk-bayes", parents=threaded, help="two-group risk report as CSV")
     p_rb.add_argument("--prior", required=True)
     p_rb.add_argument("--n", type=int, required=True)
     p_rb.add_argument("--p", type=float, required=True)
@@ -116,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help=f"total two-group draws, split over {_BATCHES} keyed batches "
                            f"(at least {_BATCHES})")
 
-    p_rm = sub.add_parser("risk-minimax", parents=[common], help="FDR+FNR risk report as CSV")
+    p_rm = sub.add_parser("risk-minimax", parents=seeded, help="FDR+FNR risk report as CSV")
     p_rm.add_argument("--prior", required=True)
     p_rm.add_argument("--alpha", type=float, default=0.5)
     p_rm.add_argument("--v-n", type=float, default=3.0)
@@ -126,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--magnitude", type=float, default=None,
                       help="override the signal magnitude (default: separation rate)")
 
-    p_ad = sub.add_parser("adaptive", parents=[common], help="plug-in pipeline verification as JSON")
+    p_ad = sub.add_parser("adaptive", parents=threaded, help="plug-in pipeline verification as JSON")
     p_ad.add_argument("--n", type=int, required=True)
     p_ad.add_argument("--p", type=float, required=True)
     p_ad.add_argument("--c-psi", type=float, default=1.0)
@@ -136,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ad.add_argument("--c-u", type=float, default=2.0)
     p_ad.add_argument("--zeta", type=float, default=0.0)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="run an experiment config file")
+    p_sim = sub.add_parser("simulate", parents=[out], help="run an experiment config file")
     p_sim.add_argument("--config", required=True)
 
     return parser
@@ -145,8 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_mx(args) -> int:
     prior = parse_prior_spec(args.prior)
     xs = _parse_x_values(args.x)
-    if not all(abs(x) <= MAX_ABS_X for x in xs):
-        raise ValueError(f"--x must hold only |x| <= {MAX_ABS_X:g}, got {args.x!r}")
     table = ResultTable(list(MX_COLUMNS))
     append_mx_rows(table, prior, xs)
     _emit(table.csv_text(), args.out)
@@ -204,9 +215,8 @@ def _cmd_risk_bayes(args) -> int:
 def _cmd_risk_minimax(args) -> int:
     config = ExperimentConfig(
         experiment_id="risk-minimax", kind="risk_minimax", prior=parse_prior_spec(args.prior),
-        model=None, alpha=args.alpha, replicates=args.replicates, seed=args.seed,
-        threads=args.threads, lam=args.lam, v_n=args.v_n, c1=args.c1,
-        signal_rule="rho_n" if args.magnitude is None else "fixed",
+        model=None, alpha=args.alpha, replicates=args.replicates, seed=args.seed, lam=args.lam,
+        v_n=args.v_n, c1=args.c1, signal_rule="rho_n" if args.magnitude is None else "fixed",
         signal_magnitude=args.magnitude,
     )
     _emit_rows(["row_type", "magnitude"] + RISK_COLUMNS, _experiment_rows(config, -1), args.out)
@@ -220,10 +230,8 @@ def _cmd_adaptive(args) -> int:
         model=model, alpha=args.alpha, replicates=args.risk_replicates, seed=args.seed,
         threads=args.threads, c_u=args.c_u, zeta=args.zeta,
     )
-    cond4 = verify_condition4(
-        simple_count_estimator, model, c_u=args.c_u, zeta=args.zeta,
-        replicates=args.replicates, seed=args.seed, threads=args.threads,
-    )
+    cond4 = verify_condition4(simple_count_estimator, model, c_u=args.c_u, zeta=args.zeta,
+                              replicates=args.replicates, seed=args.seed)
     (row,) = _experiment_rows(config, -1)
     record = {
         "condition4": cond4.to_record(),

@@ -132,7 +132,7 @@ def _field(key: str, parse: Callable = str, echo=_KINDS, rule=None, dump=None, *
 # Single-field rules: a test of the value and what it must be, written so that nan fails.
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _IN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
-_NONNEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
+_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and >= 0")
 _FINITE_NONZERO = (lambda v: math.isfinite(v) and v != 0.0, "must be finite and nonzero")
 _MINIMAX = ("risk_minimax",)
 
@@ -174,7 +174,8 @@ class ExperimentConfig:
         default=())
     sweep_magnitudes: tuple[float, ...] = _field("sweep.magnitudes", _floats, _MINIMAX, (
         lambda v: all(map(_FINITE_NONZERO[0], v)), _FINITE_NONZERO[1]), default=())
-    c_u: float = _field("c_u", float, ("adaptive",), (lambda v: v > 0.0, "must be > 0"), default=2.0)
+    c_u: float = _field("c_u", float, ("adaptive",), (
+        lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"), default=2.0)
     zeta: float = _field("zeta", float, ("adaptive",), _NONNEGATIVE, default=0.0)
 
     def __post_init__(self) -> None:
@@ -377,9 +378,8 @@ def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:
     magnitudes = config.sweep_magnitudes or (rho,)
 
     for magnitude in magnitudes:
-        fdp, fnp = fdp_fnp_replicates(
-            flat_signal(n, p, magnitude), x_star, config.replicates, config.seed, config.threads
-        )
+        fdp, fnp = fdp_fnp_replicates(flat_signal(n, p, magnitude), x_star, config.replicates,
+                                      config.seed)
         _write_replicates(
             table,
             dict(n=n, p=float(p), alpha=config.alpha, x_star=x_star,

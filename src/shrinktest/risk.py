@@ -82,38 +82,30 @@ class RiskReport:
 
 @dataclass(frozen=True, eq=False)
 class SparseSignal:
-    """A length-n mean vector that is exactly zero off the support."""
+    """The at most n finite, nonzero means of a length-n mean vector that is zero elsewhere.
+    Under i.i.d. noise the FDR + FNR risk does not depend on where the means sit."""
 
     n: int
-    support: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=int)
         values = np.asarray(self.values, dtype=float)
-        if support.ndim != 1 or values.shape != support.shape:
-            raise ValueError("support and values must be matching 1-d arrays")
-        if len(support) > self.n:
-            raise ValueError("support cannot exceed n")
-        if len(support) and (support.min() < 0 or support.max() >= self.n):
-            raise ValueError("support indices out of range")
-        if len(np.unique(support)) != len(support):
-            raise ValueError("support indices must be unique")
+        if values.ndim != 1 or len(values) > self.n:
+            raise ValueError(f"values must be a 1-d array of at most n = {self.n} entries")
         if not np.all(np.isfinite(values)) or np.any(values == 0.0):
             raise ValueError("signal values must be finite and nonzero")
-        object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
 
     @property
     def p_n(self) -> int:
-        return len(self.support)
+        return len(self.values)
 
 
 def flat_signal(n: int, p: int, magnitude: float) -> SparseSignal:
-    """p signals of common magnitude on the first p coordinates."""
+    """p signals of common magnitude."""
     if not 0 < p <= n:
         raise ValueError("need 0 < p <= n")
-    return SparseSignal(n, np.arange(p), np.full(p, float(magnitude)))
+    return SparseSignal(n, np.full(p, float(magnitude)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +281,19 @@ def fdp_fnp_replicates(
     x_star: float,
     replicates: int,
     seed: int,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate (FDP, FNP) arrays of the cut x* for a fixed signal.
 
     Each replicate draws on its own (seed, replicate, STREAM_NOISE)
     stream, so results do not depend on scheduling, and draws only the
     counts FDP and FNP depend on: first p_n unit normals, added to
-    signal.values in support order (the signal hits), then one
+    signal.values in array order (the signal hits), then one
     binomial(n - p_n, 2 Phi(-x*)) count of the nulls beyond the cut
     (the false positives).  The nulls are i.i.d., so this is exact in
     distribution, and a replicate's cost does not depend on n.  The
     false-discovery proportion uses the max(rejections, 1) convention.
-    The replicates run serially whatever threads says, on one re-keyed
-    generator: each costs microseconds, less than handing it to a thread.
+    The replicates run serially on one re-keyed generator: each costs
+    microseconds, less than handing it to a thread.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -310,7 +301,7 @@ def fdp_fnp_replicates(
         raise ValueError(f"x_star must be nonnegative, got {x_star!r}")
     p_n = signal.p_n
     if p_n == 0:
-        raise ValueError("signal has no support: FNR is undefined")
+        raise ValueError("signal has no nonzero values: FNR is undefined")
     n_null, q = signal.n - p_n, null_rejection_rate(x_star)
 
     x = np.empty(p_n)
@@ -330,12 +321,11 @@ def fdr_fnr_mc(
     alpha: float,
     replicates: int,
     seed: int,
-    threads: int = 1,
 ) -> RiskReport:
     """FDR, FNR and their sum for a fixed signal under unit Gaussian noise,
     averaged over fdp_fnp_replicates at the curve's cut x*(alpha)."""
     x_star = curve.decision_threshold(alpha)
-    fdp, fnp = fdp_fnp_replicates(signal, x_star, replicates, seed, threads)
+    fdp, fnp = fdp_fnp_replicates(signal, x_star, replicates, seed)
     ses = {
         "fdr": standard_error(fdp), "fnr": standard_error(fnp), "rsup": standard_error(fdp + fnp),
     }

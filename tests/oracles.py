@@ -334,24 +334,32 @@ def posterior_odds_root(n: int, p_n: float, psi_sq: float) -> float:
 # have two: fdp_fnp_counts follows the library's layout (p_n signal
 # normals, then one binomial null count) and must match it exactly, and
 # fdp_fnp_full_mask draws all n coordinates, as the library did before.
-# It matches the library's FNP exactly for a signal on the first p_n
-# coordinates, and its FDR only in distribution.  window_counts_full_mask
+# A SparseSignal holds only its nonzero values, so the full-mask oracle
+# places them itself, on a scattered support unless it is given one.  On
+# the support range(p_n) it matches the library's FNP exactly; on any
+# support it matches its FDR and FNR in distribution.  window_counts_full_mask
 # also draws all n coordinates, as verify_condition4 did before its one
 # binomial count per replicate, so the two agree only in distribution.
 # ---------------------------------------------------------------------------
 
-def signal_vector(signal) -> np.ndarray:
-    """The length-n mean vector of a SparseSignal, zero off the support."""
+def scattered_support(n: int, p_n: int) -> np.ndarray:
+    """p_n distinct coordinates of range(n), unsorted and spread out, fixed by (n, p_n)."""
+    return np.random.default_rng([n, p_n]).permutation(n)[:p_n]
+
+
+def signal_vector(signal, support=None) -> np.ndarray:
+    """The length-n mean vector of a SparseSignal: its values on the support
+    (scattered_support by default), zero elsewhere."""
     theta = np.zeros(signal.n)
-    theta[signal.support] = signal.values
+    theta[scattered_support(signal.n, signal.p_n) if support is None else support] = signal.values
     return theta
 
 
-def fdp_fnp_full_mask(signal, x_star: float, replicates: int, seed: int):
-    """Per-replicate (FDP, FNP) from theta + noise and boolean null masks."""
-    theta = signal_vector(signal)
-    null_mask = np.ones(signal.n, dtype=bool)
-    null_mask[signal.support] = False
+def fdp_fnp_full_mask(signal, x_star: float, replicates: int, seed: int, support=None):
+    """Per-replicate (FDP, FNP) from theta + noise and boolean null masks, with
+    theta = signal_vector(signal, support)."""
+    theta = signal_vector(signal, support)
+    null_mask = theta == 0.0
     fdp, fnp = [], []
     for rep in range(replicates):
         data = theta + substream(seed, rep, STREAM_NOISE).standard_normal(signal.n)

@@ -121,8 +121,8 @@ class TestVerifyCondition4:
         assert report.passed_upper and report.passed_lower
 
     def test_deterministic_given_seed(self, model):
-        a = verify_condition4(simple_count_estimator, model, replicates=200, seed=5, threads=1)
-        b = verify_condition4(simple_count_estimator, model, replicates=200, seed=5, threads=4)
+        a = verify_condition4(simple_count_estimator, model, replicates=200, seed=5)
+        b = verify_condition4(simple_count_estimator, model, replicates=200, seed=5)
         assert a == b
 
     def test_replicate_floor(self, model):
@@ -148,7 +148,7 @@ class TestVerifyCondition4:
 
         monkeypatch.setattr(TwoGroupModel, "sample", forbidden)
         monkeypatch.setattr(adaptive, "map_replicates", forbidden)
-        verify_condition4(simple_count_estimator, model, replicates=200, seed=9, threads=4)
+        verify_condition4(simple_count_estimator, model, replicates=200, seed=9)
         counts = substream(9, 0, STREAM_ESTIMATOR).binomial(model.n, _count_law(model), size=200)
         np.testing.assert_array_equal(window_p_hat[0], np.maximum(counts, 1))
 

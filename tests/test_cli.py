@@ -60,19 +60,20 @@ def test_import_leaves_scipy_stats_out():
 class TestParserReuse:
     def test_main_calls_share_no_state(self, capsys, monkeypatch, tmp_path):
         argvs = [
-            ["threshold", "--prior", PRIOR, "--alpha", "0.3", "--seed", "5",
-             "--out", str(tmp_path / "t.txt")],
-            ["mx", "--prior", PRIOR, "--x", "0,1", "--threads", "2"],
+            ["threshold", "--prior", PRIOR, "--alpha", "0.3", "--out", str(tmp_path / "t.txt")],
+            ["risk-minimax", "--prior", PRIOR, "--seed", "5"],
+            ["mx", "--prior", PRIOR, "--x", "0,1"],
             ["threshold", "--prior", PRIOR],
+            ["risk-minimax", "--prior", PRIOR],
         ]
         seen = []
-        for name in ("threshold", "mx"):
+        for name in ("threshold", "mx", "risk-minimax"):
             monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)))
         for argv in argvs:
             main(argv)
         fresh = cli._build_parser.__wrapped__()
         assert seen == [vars(fresh.parse_args(argv)) for argv in argvs]
-        assert (seen[2]["alpha"], seen[2]["seed"], seen[2]["out"]) == (0.5, 0, None)
+        assert (seen[3]["alpha"], seen[3]["out"], seen[4]["seed"]) == (0.5, None, 0)
         assert cli._build_parser() is cli._build_parser()
 
     def test_outputs_after_another_command(self, capsys, tmp_path):
@@ -129,6 +130,27 @@ class TestMx:
         assert code == EXIT_VALIDATION
         assert "range needs" in err
         assert out == ""
+
+    @pytest.mark.parametrize("x, message", [
+        ("0:1e308:1e-308", "--x must hold only |x| <= 100000"),  # was an OverflowError, exit 1
+        ("0:1e5:1e-308", "--x range must have at most 1e+06 points"),  # was an OverflowError
+        ("0:1e5:1e-9", "--x range must have at most 1e+06 points"),  # built 1e14 points first
+    ], ids=["stop-1e308", "step-1e-308", "step-1e-9"])
+    def test_range_checked_before_its_points_are_built(self, capsys, monkeypatch, x, message):
+        def no_build(*args):
+            raise AssertionError("built the points of a rejected range")
+
+        monkeypatch.setattr(cli, "range", no_build, raising=False)
+        code, out, err = run_cli(capsys, "mx", "--prior", PRIOR, "--x", x)
+        assert code == EXIT_VALIDATION
+        assert f"validation error: {message}" in err
+        assert out == ""
+
+    def test_point_cap_is_inclusive(self):
+        # Exact in binary: 62499.9375 / 0.0625 = 999999, so the range has 1e6 points.
+        assert len(cli._parse_x_values("0:62499.9375:0.0625")) == cli.MAX_X_POINTS
+        with pytest.raises(ValueError, match="at most 1e\\+06 points"):
+            cli._parse_x_values("0:62500:0.0625")
 
 
 class TestThreshold:
@@ -324,6 +346,11 @@ class TestRiskFlagsCheckedAsConfig:
         (RISK_BAYES + ["--draws", "63"], "experiment.draws"),  # fewer than the 64 batches
         (RISK_BAYES + ["--threads", "0"], "experiment.threads"),
         (RISK_BAYES + ["--alpha", "1.0"], "test.alpha"),
+        # Were exit 0, writing Infinity into the JSON record.
+        (["adaptive", "--n", "1000", "--p", "50", "--c-u", "inf"], "experiment.c_u"),
+        (["adaptive", "--n", "1000", "--p", "50", "--zeta", "inf"], "experiment.zeta"),
+        # Was exit 2, naming no field.
+        (["risk-minimax", "--prior", PRIOR, "--v-n", "inf"], "signal.v_n"),
     ])
     def test_bad_flag_exits_before_any_compute(self, capsys, compute_calls, argv, field):
         code, out, err = run_cli(capsys, *argv)
@@ -346,6 +373,28 @@ class TestRiskFlagsCheckedAsConfig:
         assert "experiment.seed" in err
         assert out == ""
         assert compute_calls == []
+
+
+_REMOVED_FLAGS = [
+    (argv, flag)
+    for argv in (["mx", "--prior", PRIOR, "--x", "0,1"], ["threshold", "--prior", PRIOR],
+                 ["test", "--prior", PRIOR, "--input", "data.txt"], ["check-prior", "--prior", PRIOR],
+                 ["simulate", "--config", "experiment.ini"])
+    for flag in ("--seed", "--threads")
+] + [(["risk-minimax", "--prior", PRIOR], "--threads")]
+
+
+@pytest.mark.parametrize("argv, flag", _REMOVED_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in _REMOVED_FLAGS])
+def test_flag_that_changes_no_output_is_rejected(capsys, compute_calls, argv, flag):
+    # Was accepted and ignored: these commands draw nothing, or draw serially.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, "3"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == EXIT_VALIDATION
+    assert f"unrecognized arguments: {flag} 3" in captured.err
+    assert captured.out == ""
+    assert compute_calls == []
 
 
 class TestSimulate:

@@ -68,11 +68,11 @@ class TestSparseSignal:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SparseSignal(5, np.array([0, 0]), np.array([1.0, 1.0]))  # duplicate
+            SparseSignal(5, np.ones(6))  # more values than coordinates
         with pytest.raises(ValueError):
-            SparseSignal(5, np.array([7]), np.array([1.0]))  # out of range
+            SparseSignal(5, np.ones((1, 2)))  # not 1-d
         with pytest.raises(ValueError):
-            SparseSignal(5, np.array([1]), np.array([0.0]))  # zero magnitude
+            SparseSignal(5, np.array([0.0]))  # zero magnitude
         with pytest.raises(ValueError):
             flat_signal(5, 0, 1.0)
 
@@ -241,8 +241,8 @@ class TestFdrFnrMc:
 
     def test_reproducible_bit_for_bit(self, curve):
         signal = flat_signal(2000, 40, 5.0)
-        a = fdr_fnr_mc(curve, signal, 0.5, replicates=20, seed=12, threads=1)
-        b = fdr_fnr_mc(curve, signal, 0.5, replicates=20, seed=12, threads=4)
+        a = fdr_fnr_mc(curve, signal, 0.5, replicates=20, seed=12)
+        b = fdr_fnr_mc(curve, signal, 0.5, replicates=20, seed=12)
         assert a == b
 
     def test_rates_in_unit_interval(self, curve):
@@ -254,7 +254,7 @@ class TestFdrFnrMc:
         assert report.n_replicates == 25
 
     def test_empty_support_rejected(self, curve):
-        empty = SparseSignal(50, np.array([], dtype=int), np.array([]))
+        empty = SparseSignal(50, np.array([]))
         with pytest.raises(ValueError, match="FNR"):
             fdr_fnr_mc(curve, empty, 0.5, replicates=5, seed=1)
 
@@ -293,11 +293,10 @@ class TestOracleComparison:
 
 
 def _scattered_signal(n: int = 5000, p: int = 60) -> SparseSignal:
-    """Mixed-sign magnitudes on an unsorted, scattered support."""
+    """Mixed-sign magnitudes; the full-mask oracle places them on a scattered support."""
     rng = substream(31, 0, 0)
-    support = rng.permutation(n)[:p]
     values = rng.choice([-1.0, 1.0], p) * rng.uniform(0.5, 6.0, p)
-    return SparseSignal(n, support, values)
+    return SparseSignal(n, values)
 
 
 class TestCountedKernels:
@@ -306,23 +305,21 @@ class TestCountedKernels:
     must match the oracle module's plain-mask version of that layout; the
     other kernels must match the full-length masks on the same draws."""
 
-    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("x_star", [2.7, 0.0, 1e3])
-    def test_fdp_fnp_match_counts_oracle(self, x_star, threads):
+    def test_fdp_fnp_match_counts_oracle(self, x_star):
         signal = _scattered_signal()
-        assert not np.all(np.diff(signal.support) > 0)
         assert np.any(signal.values < 0) and np.any(signal.values > 0)
-        fdp, fnp = fdp_fnp_replicates(signal, x_star, 12, seed=8, threads=threads)
+        fdp, fnp = fdp_fnp_replicates(signal, x_star, 12, seed=8)
         want_fdp, want_fnp = oracles.fdp_fnp_counts(signal, x_star, 12, seed=8)
         np.testing.assert_array_equal(fdp, want_fdp)
         np.testing.assert_array_equal(fnp, want_fnp)
 
-    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("x_star", [0.0, 1e3])
-    def test_fdp_fnp_match_full_masks(self, x_star, threads):
+    def test_fdp_fnp_match_full_masks(self, x_star):
         # Cuts that reject everything or nothing leave no randomness in the counts.
         signal = _scattered_signal()
-        fdp, fnp = fdp_fnp_replicates(signal, x_star, 12, seed=8, threads=threads)
+        assert not np.all(np.diff(oracles.scattered_support(signal.n, signal.p_n)) > 0)
+        fdp, fnp = fdp_fnp_replicates(signal, x_star, 12, seed=8)
         want_fdp, want_fnp = oracles.fdp_fnp_full_mask(signal, x_star, 12, seed=8)
         np.testing.assert_array_equal(fdp, want_fdp)
         np.testing.assert_array_equal(fnp, want_fnp)
@@ -333,17 +330,16 @@ class TestCountedKernels:
             raise AssertionError("fdp_fnp_replicates must not map its replicates")
 
         monkeypatch.setattr(risk, "map_replicates", forbidden)
-        fdp, fnp = fdp_fnp_replicates(_scattered_signal(), 2.7, 12, seed=8, threads=4)
+        fdp, fnp = fdp_fnp_replicates(_scattered_signal(), 2.7, 12, seed=8)
         want_fdp, want_fnp = oracles.fdp_fnp_counts(_scattered_signal(), 2.7, 12, seed=8)
         np.testing.assert_array_equal(fdp, want_fdp)
         np.testing.assert_array_equal(fnp, want_fnp)
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_flat_signal_fnp_matches_full_masks(self, threads):
+    def test_flat_signal_fnp_matches_full_masks(self):
         # On the first p coordinates the signal takes the full-length draw's first p normals.
         signal = flat_signal(5000, 60, 3.0)
-        _, fnp = fdp_fnp_replicates(signal, 2.7, 40, seed=8, threads=threads)
-        _, want_fnp = oracles.fdp_fnp_full_mask(signal, 2.7, 40, seed=8)
+        _, fnp = fdp_fnp_replicates(signal, 2.7, 40, seed=8)
+        _, want_fnp = oracles.fdp_fnp_full_mask(signal, 2.7, 40, seed=8, support=np.arange(60))
         np.testing.assert_array_equal(fnp, want_fnp)
         assert 0.0 < fnp.mean() < 1.0
 
@@ -407,10 +403,9 @@ class TestCountedKernels:
         np.testing.assert_array_equal(fdp, want_fdp)
         np.testing.assert_array_equal(fnp, want_fnp)
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_fdr_fnr_report_matches_counts_oracle(self, curve, threads):
+    def test_fdr_fnr_report_matches_counts_oracle(self, curve):
         signal = _scattered_signal()
-        report = fdr_fnr_mc(curve, signal, 0.5, replicates=15, seed=21, threads=threads)
+        report = fdr_fnr_mc(curve, signal, 0.5, replicates=15, seed=21)
         fdp, fnp = oracles.fdp_fnp_counts(signal, curve.decision_threshold(0.5), 15, seed=21)
         assert report == RiskReport(
             fdr=float(fdp.mean()), fnr=float(fnp.mean()),
