@@ -26,8 +26,7 @@ for alpha in (0.25, 0.5, 0.75):
 
 # The same curve through the experiment harness, plus a plot script.
 config = ExperimentConfig(
-    experiment_id="mx-demo", kind="mx_curve", prior=prior, model=None,
-    alpha=0.5, replicates=1, seed=0,
+    experiment_id="mx-demo", kind="mx_curve", prior=prior,
     x_grid=tuple(np.round(np.arange(0.0, 10.25, 0.25), 3)),
     out="mx_curve.csv",
 )

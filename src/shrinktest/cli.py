@@ -215,8 +215,8 @@ def _cmd_risk_bayes(args) -> int:
 def _cmd_risk_minimax(args) -> int:
     config = ExperimentConfig(
         experiment_id="risk-minimax", kind="risk_minimax", prior=parse_prior_spec(args.prior),
-        model=None, alpha=args.alpha, replicates=args.replicates, seed=args.seed, lam=args.lam,
-        v_n=args.v_n, c1=args.c1, signal_rule="rho_n" if args.magnitude is None else "fixed",
+        alpha=args.alpha, replicates=args.replicates, seed=args.seed, lam=args.lam, v_n=args.v_n,
+        c1=args.c1, signal_rule="rho_n" if args.magnitude is None else "fixed",
         signal_magnitude=args.magnitude,
     )
     _emit_rows(["row_type", "magnitude"] + RISK_COLUMNS, _experiment_rows(config, -1), args.out)

@@ -3,9 +3,9 @@
 Configs are flat key-value files with sections (INI style).  Every run
 is keyed by an explicit seed -- never the clock -- and replicates draw
 from counter-based substreams, so rerunning a config reproduces the
-output byte for byte, with any thread count.  The emitted CSV echoes
-the config in comment lines, under the keys it is read from, so the
-echo loads back as the same config.
+output byte for byte, with any thread count.  A config holds only the
+fields its kind reads, and the emitted CSV echoes them in comment lines,
+under the keys they are read from, so the echo loads back as the same config.
 """
 
 from __future__ import annotations
@@ -122,11 +122,12 @@ def _text(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _field(key: str, parse: Callable = str, echo=_KINDS, rule=None, dump=None, **default):
-    """One row of the config table: a dataclass field with its key, parser, echo kinds and rule."""
+def _field(key: str, parse: Callable = str, reads=_KINDS, rule=None, dump=None, required=False,
+           echo=True, **default):
+    """One config table row: a field's key, parser, the kinds that read it, rule and flags."""
     name = key if "." in key or dump else f"experiment.{key}"
-    return field(metadata=dict(key=key, name=name, parse=parse, echo=echo, rule=rule, dump=dump),
-                 **default)
+    return field(metadata=dict(key=key, name=name, parse=parse, reads=reads, rule=rule, dump=dump,
+                               required=required, echo=echo), **default)
 
 
 # Single-field rules: a test of the value and what it must be, written so that nan fails.
@@ -135,6 +136,8 @@ _IN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 _NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and >= 0")
 _FINITE_NONZERO = (lambda v: math.isfinite(v) and v != 0.0, "must be finite and nonzero")
 _MINIMAX = ("risk_minimax",)
+_DRAWN = ("risk_bayes", "risk_minimax", "adaptive")  # the kinds that draw random numbers
+_TWO_GROUP = ("risk_bayes", "adaptive")  # the kinds that draw from the two-group model
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -143,22 +146,25 @@ class ExperimentConfig:
 
     A row gives the key the field is read from and echoed under (bare in
     [experiment], section.key elsewhere; prior and model are whole sections),
-    the parser of its text, the kinds whose echo writes it, and the rule its
-    value must meet alone.  A field given as text is read by its parser.
+    the parser of its text, the kinds that read it, the rule its value must
+    meet alone, and whether those kinds require it.  A field given as text is
+    read by its parser.  A kind refuses a field it does not read unless it holds
+    its default, and its echo writes every field it reads but out.
     """
 
-    experiment_id: str = _field("id", default="experiment")
+    # kind comes first: every later row's check depends on it.
     kind: str = _field("kind", rule=(lambda v: v in _KINDS, f"must be one of {', '.join(_KINDS)}"))
+    experiment_id: str = _field("id", default="experiment")
     prior: ScaleMixturePrior | None = _field("prior", prior_from_config, dump=prior_to_config,
-                                             default=None)
-    model: TwoGroupModel | None = _field(
-        "model", _model, dump=lambda m: {key: getattr(m, key) for key in _MODEL_KEYS}, default=None
-    )
-    alpha: float = _field("test.alpha", float, rule=_IN_UNIT, default=0.5)
-    replicates: int = _field("replicates", int, rule=_AT_LEAST_1, default=1)
-    seed: int = _field("seed", int, rule=(lambda v: 0 <= v < 1 << 64, "must lie in [0, 2^64)"))
-    threads: int = _field("threads", int, rule=_AT_LEAST_1, default=1)
-    out: str | None = _field("out", echo=(), default=None)
+                                             required=True, default=None)
+    model: TwoGroupModel | None = _field("model", _model, _TWO_GROUP, required=True, default=None,
+                                         dump=lambda m: {k: getattr(m, k) for k in _MODEL_KEYS})
+    alpha: float = _field("test.alpha", float, _DRAWN, _IN_UNIT, default=0.5)
+    replicates: int = _field("replicates", int, _DRAWN, _AT_LEAST_1, default=1)
+    seed: int | None = _field("seed", int, _DRAWN, (lambda v: 0 <= v < 1 << 64, "must lie in [0, 2^64)"),
+                              required=True, default=None)
+    threads: int = _field("threads", int, _TWO_GROUP, _AT_LEAST_1, default=1)
+    out: str | None = _field("out", echo=False, default=None)
     draws: int = _field("draws", int, ("risk_bayes",), _AT_LEAST_1, default=10000)
     lam: float = _field("test.lambda", float, _MINIMAX, _IN_UNIT, default=0.5)
     signal_rule: str = _field("signal.rule", str, _MINIMAX, (
@@ -171,7 +177,7 @@ class ExperimentConfig:
         "must be 'auto' or a finite number >= 0"), default="auto")
     x_grid: tuple[float, ...] = _field("mx.x", _floats, ("mx_curve",), (
         lambda v: all(abs(x) <= MAX_ABS_X for x in v), f"must hold only |x| <= {MAX_ABS_X:g}"),
-        default=())
+        required=True, default=())
     sweep_magnitudes: tuple[float, ...] = _field("sweep.magnitudes", _floats, _MINIMAX, (
         lambda v: all(map(_FINITE_NONZERO[0], v)), _FINITE_NONZERO[1]), default=())
     c_u: float = _field("c_u", float, ("adaptive",), (
@@ -187,37 +193,38 @@ class ExperimentConfig:
                 object.__setattr__(self, row.name, value)
             if rule and value is not None and not rule[0](value):
                 raise ConfigError(name, f"{rule[1]}, got {value!r}")
-        if self.prior is None:
-            raise ConfigError("prior", "section is required")
-        if self.kind in ("risk_bayes", "adaptive") and self.model is None:
-            raise ConfigError("model", "section is required for this kind")
+            if self.kind not in row.metadata["reads"] and value != row.default:
+                raise ConfigError(name, f"is not read by kind {self.kind}")
+            if self.kind in row.metadata["reads"] and row.metadata["required"] and _absent(value):
+                raise ConfigError(name, f"required for kind {self.kind}")
         if self.kind == "risk_bayes" and self.draws < self.replicates:
             raise ConfigError("experiment.draws", f"must be >= replicates = {self.replicates} "
                               f"(one batch of draws per replicate), got {self.draws!r}")
         if self.kind == "risk_minimax" and not float(self.prior.p).is_integer():
             raise ConfigError("prior.p", "must be a whole number for risk_minimax (the signal has "
                               f"p coordinates), got {self.prior.p!r}")
-        if self.kind == "risk_minimax" and self.signal_rule == "fixed" and self.signal_magnitude is None:
+        if self.signal_rule == "fixed" and self.signal_magnitude is None:
             raise ConfigError("signal.magnitude", "required when signal.rule = fixed")
-        if self.kind == "mx_curve" and not self.x_grid:
-            raise ConfigError("mx.x", "mx_curve needs an x grid")
         if self.kind == "adaptive" and self.prior.family != "horseshoe":
             raise ConfigError("prior.family", "the adaptive pipeline plugs p_hat into the horseshoe family")
 
     def meta(self) -> dict[str, str]:
-        """The config echo: every field this kind echoes, under the key it is read from."""
+        """The config echo: every field this kind reads, under the key it is read from."""
         out: dict[str, str] = {}
         for row in fields(self):
             key, dump, value = row.metadata["key"], row.metadata["dump"], getattr(self, row.name)
-            absent = value is None or isinstance(value, tuple) and not value
-            if self.kind in row.metadata["echo"] and not absent:
+            if self.kind in row.metadata["reads"] and row.metadata["echo"] and not _absent(value):
                 items = {f"{key}.{k}": v for k, v in dump(value).items()} if dump else {key: value}
                 out.update((k, _text(v)) for k, v in items.items())
         return out
 
 
+def _absent(value) -> bool:
+    return value is None or isinstance(value, tuple) and not value
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read an experiment config file; every key in it must be a field's key."""
+    """Read an experiment config file; every key in it must be a key its kind reads."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
@@ -241,7 +248,11 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(name, "missing required field")
     if texts:
         raise ConfigError(next(iter(texts)), "unknown field")
-    return ExperimentConfig(**values)
+    config = ExperimentConfig(**values)
+    for row in rows:  # a key its kind does not read is refused even at its default value
+        if row.name in values and config.kind not in row.metadata["reads"]:
+            raise ConfigError(row.metadata["name"], f"is not read by kind {config.kind}")
+    return config
 
 
 @dataclass
@@ -371,11 +382,10 @@ def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:
     bound = minimax_risk_bound(config.lam, config.alpha, big_c, c, config.v_n)
     n, p = prior.n, int(prior.p)
 
-    if config.signal_rule == "fixed":
-        rho = float(config.signal_magnitude)
-    else:
-        rho = separation_magnitude(curve, config.alpha, config.c1, config.v_n)
-    magnitudes = config.sweep_magnitudes or (rho,)
+    # The separation rate is calibrated only when no sweep takes its place.
+    rho = lambda: (float(config.signal_magnitude) if config.signal_rule == "fixed"
+                   else separation_magnitude(curve, config.alpha, config.c1, config.v_n))
+    magnitudes = config.sweep_magnitudes or (rho(),)
 
     for magnitude in magnitudes:
         fdp, fnp = fdp_fnp_replicates(flat_signal(n, p, magnitude), x_star, config.replicates,

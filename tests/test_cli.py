@@ -8,6 +8,7 @@ import pytest
 from shrinktest import ExperimentConfig, TwoGroupModel, cli, parse_prior_spec, run_experiment
 from shrinktest.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from shrinktest.shrinkage import ShrinkageCurve
+from test_golden import reading_kinds
 
 PRIOR = "horseshoe:tau=0.05,n=1000,p=50"
 
@@ -397,11 +398,30 @@ def test_flag_that_changes_no_output_is_rejected(capsys, compute_calls, argv, fl
     assert compute_calls == []
 
 
+_RISK_COMMANDS = {
+    "risk_bayes": RISK_BAYES,
+    "risk_minimax": ["risk-minimax", "--prior", PRIOR],
+    "adaptive": ["adaptive", "--n", "1000", "--p", "50"],
+}
+
+
+@pytest.mark.parametrize("key", ["seed", "threads"])
+@pytest.mark.parametrize("kind", sorted(_RISK_COMMANDS))
+def test_risk_command_takes_a_flag_exactly_when_its_kind_reads_the_key(capsys, kind, key):
+    try:
+        cli._build_parser().parse_args(_RISK_COMMANDS[kind] + [f"--{key}", "3"])
+        takes = True
+    except SystemExit:
+        assert f"unrecognized arguments: --{key} 3" in capsys.readouterr().err
+        takes = False
+    assert takes == (kind in reading_kinds(key))
+
+
 class TestSimulate:
     def test_runs_config(self, capsys, tmp_path):
         config = tmp_path / "exp.ini"
         config.write_text(
-            "[experiment]\nid = t\nkind = mx_curve\nseed = 0\n\n"
+            "[experiment]\nid = t\nkind = mx_curve\n\n"
             "[prior]\nfamily = horseshoe\ntau = 0.05\nn = 1000\np = 50\n\n"
             "[mx]\nx = 0,1\n"
         )
@@ -412,7 +432,7 @@ class TestSimulate:
     def test_out_flag_writes_file(self, capsys, tmp_path):
         config = tmp_path / "exp.ini"
         config.write_text(
-            "[experiment]\nid = t\nkind = mx_curve\nseed = 0\n\n"
+            "[experiment]\nid = t\nkind = mx_curve\n\n"
             "[prior]\nfamily = horseshoe\ntau = 0.05\nn = 1000\np = 50\n\n"
             "[mx]\nx = 0,1\n"
         )

@@ -8,9 +8,10 @@ name under `tests/golden/`, byte for byte; a demo's output is its
 stdout, in `demo_<number>.txt`.  The files pin what a refactor must not move: every float is
 written by `repr`, so a change in the last bit of a bound, a risk, a
 threshold or a Monte Carlo mean shows up here.  `simulate` runs each
-config at threads 1 and 4 against one file, with the `# threads =` echo
-line normalised, and once more from an INI rebuilt from the file's own
-echo lines, which must give the file back.
+config against its file, again at threads 4 where its kind reads
+`threads` (with the `# threads =` echo line normalised; a kind that does
+not read it must refuse `threads = 4`), and once more from an INI rebuilt
+from the file's own echo lines, which must give the file back.
 
 The files were written by this module's own cases with Python 3.11,
 numpy 2.4 and scipy 1.17.  Regenerate them, after a deliberate change of
@@ -21,6 +22,7 @@ output, with
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -31,8 +33,8 @@ import tempfile
 
 import pytest
 
-from shrinktest import NumericError, ShrinkageCurve, parse_prior_spec
-from shrinktest.cli import EXIT_OK, main
+from shrinktest import ExperimentConfig, NumericError, ShrinkageCurve, parse_prior_spec
+from shrinktest.cli import EXIT_OK, EXIT_VALIDATION, main
 from shrinktest.rng import substream
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -61,8 +63,6 @@ CONFIGS = {
 [experiment]
 id = golden-mx
 kind = mx_curve
-seed = 0
-threads = 1
 
 {_PRIOR_SECTION}
 [mx]
@@ -88,7 +88,6 @@ id = golden-risk-minimax
 kind = risk_minimax
 replicates = 20
 seed = 3
-threads = 1
 
 {_PRIOR_SECTION}
 [test]
@@ -108,7 +107,6 @@ id = golden-risk-minimax-rho
 kind = risk_minimax
 replicates = 20
 seed = 4
-threads = 1
 
 {_PRIOR_SECTION}
 [signal]
@@ -132,6 +130,17 @@ zeta = 0.5
 alpha = 0.5
 """,
 }
+
+
+def reading_kinds(key: str) -> tuple[str, ...]:
+    """The kinds that read a config key, by the field table."""
+    (row,) = [row for row in dataclasses.fields(ExperimentConfig) if row.metadata["key"] == key]
+    return row.metadata["reads"]
+
+
+# The configs whose kind reads `threads`.
+THREADED = {name for name in CONFIGS
+            if re.search(r"(?m)^kind = (\w+)$", CONFIGS[name])[1] in reading_kinds("threads")}
 
 
 def _write_input(path: pathlib.Path) -> None:
@@ -260,10 +269,25 @@ def test_demo_stdout_bytes(name, tmp_path):
     assert _demo(tmp_path, name) == _golden(name)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_simulate_output_bytes(kind, threads, tmp_path):
-    assert _simulate(tmp_path, kind, threads) == _golden(f"simulate_{kind}.csv")
+def test_simulate_output_bytes(kind, tmp_path):
+    assert _simulate(tmp_path, kind, 1) == _golden(f"simulate_{kind}.csv")
+
+
+@pytest.mark.parametrize("kind", sorted(THREADED))
+def test_simulate_threads_give_same_bytes(kind, tmp_path):
+    assert _simulate(tmp_path, kind, 4) == _golden(f"simulate_{kind}.csv")
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS.keys() - THREADED))
+def test_simulate_threads_refused_where_unread(kind, tmp_path, capsys):
+    # Was accepted and echoed, though these kinds run serially.
+    config = tmp_path / f"{kind}.ini"
+    config.write_text(CONFIGS[kind].replace("[experiment]\n", "[experiment]\nthreads = 4\n"),
+                      encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "experiment.threads" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from shrinktest import (
     run_experiment,
 )
 from shrinktest.cli import EXIT_OK, main
-from shrinktest.harness import MAX_ABS_X, ResultTable
+from shrinktest.harness import MAX_ABS_X, ResultTable, _text
 from shrinktest.priors import parse_prior_spec
 from shrinktest import rng
 from shrinktest.risk import _report_from_counts, two_group_risk_mc
@@ -123,11 +123,38 @@ def _finite(min_value=-1e12, **kwargs):
     return hst.floats(min_value, 1e12, **kwargs)
 
 
+# The fields each kind reads besides experiment_id, kind, prior and out, which every kind reads.
+_READ_BY = {
+    "mx_curve": {"x_grid"},
+    "risk_bayes": {"model", "alpha", "replicates", "seed", "threads", "draws"},
+    "risk_minimax": {"alpha", "replicates", "seed", "lam", "signal_rule", "signal_magnitude",
+                     "v_n", "c1", "sweep_magnitudes"},
+    "adaptive": {"model", "alpha", "replicates", "seed", "threads", "c_u", "zeta"},
+}
+_ROWS = {row.name: row for row in fields(ExperimentConfig)}
+
+
+def _field_values(n, p, replicates, number):
+    """A strategy of valid values for each field of _READ_BY; numbers may be numpy floats."""
+    nonzero = _finite().filter(bool)
+    return dict(
+        model=_finite(1e-6).map(lambda c_psi: TwoGroupModel.from_c_psi(n, p, c_psi)),
+        alpha=_unit().map(number), lam=_unit().map(number),
+        replicates=hst.just(replicates), seed=hst.integers(0, 2**64 - 1),
+        threads=hst.integers(1, 64), draws=hst.integers(replicates, 10**9),
+        signal_rule=hst.sampled_from(["rho_n", "fixed"]), signal_magnitude=nonzero.map(number),
+        v_n=_finite(0.0).map(number), c1=hst.just("auto") | _finite(0.0).map(number),
+        x_grid=hst.lists(hst.floats(-MAX_ABS_X, MAX_ABS_X), min_size=1, max_size=5).map(
+            lambda xs: tuple(map(number, xs))),
+        sweep_magnitudes=hst.lists(nonzero, max_size=5).map(lambda xs: tuple(map(number, xs))),
+        c_u=_finite(0.0, exclude_min=True).map(number), zeta=_finite(0.0).map(number),
+    )
+
+
 @hst.composite
 def _configs(draw):
-    """A valid config of any kind, with every field drawn; numbers may be numpy floats."""
-    kind = draw(hst.sampled_from(["mx_curve", "risk_bayes", "risk_minimax", "adaptive"]))
-    number = draw(hst.sampled_from([float, np.float64]))
+    """A valid config of any kind, with every field its kind reads drawn."""
+    kind = draw(hst.sampled_from(sorted(_READ_BY)))
     n = draw(hst.integers(2, 10**7))
     p = draw(hst.floats(0.0, n, exclude_min=True, exclude_max=True))
     if kind == "risk_minimax":  # its signal has p coordinates
@@ -135,25 +162,13 @@ def _configs(draw):
     prior = horseshoe_prior(draw(_unit()), n, p)
     if kind != "adaptive" and draw(hst.booleans()):
         prior = exponential_prior(draw(_finite(1e-3)), n, p)
-    rule = draw(hst.sampled_from(["rho_n", "fixed"]))
-    nonzero = _finite().filter(bool)
-    magnitude = draw(nonzero if rule == "fixed" else hst.none() | nonzero)
-    replicates = draw(hst.integers(1, 10**6))
-    return ExperimentConfig(
-        experiment_id=draw(hst.text("abc-_%;#=:.()[]019", min_size=1)),
-        kind=kind, prior=prior,
-        model=TwoGroupModel.from_c_psi(n, p, draw(_finite(1e-6))) if kind != "mx_curve" else None,
-        alpha=number(draw(_unit())), lam=number(draw(_unit())),
-        replicates=replicates, seed=draw(hst.integers(0, 2**64 - 1)),
-        threads=draw(hst.integers(1, 64)), draws=draw(hst.integers(replicates, 10**9)),
-        signal_rule=rule, signal_magnitude=None if magnitude is None else number(magnitude),
-        v_n=number(draw(_finite(0.0))),
-        c1=draw(hst.just("auto") | _finite(0.0).map(number)),
-        x_grid=tuple(map(number, draw(hst.lists(hst.floats(-MAX_ABS_X, MAX_ABS_X), min_size=1,
-                                                max_size=5)))),
-        sweep_magnitudes=tuple(map(number, draw(hst.lists(nonzero, max_size=5)))),
-        c_u=number(draw(_finite(0.0, exclude_min=True))), zeta=number(draw(_finite(0.0))),
-    )
+    values = _field_values(n, p, draw(hst.integers(1, 10**6)),
+                           draw(hst.sampled_from([float, np.float64])))
+    read = {name: draw(values[name]) for name in sorted(_READ_BY[kind])}
+    if read.get("signal_rule") == "rho_n" and draw(hst.booleans()):
+        read["signal_magnitude"] = None  # only a fixed rule needs a magnitude
+    return ExperimentConfig(experiment_id=draw(hst.text("abc-_%;#=:.()[]019", min_size=1)),
+                            kind=kind, prior=prior, **read)
 
 
 class TestLoadConfig:
@@ -206,7 +221,7 @@ class TestLoadConfig:
         assert not [l for l in echo if l.startswith("# adaptive.")]
         # The mx_curve grid is echoed as mx.x, by repr, and reads back exactly,
         # also when it holds numpy floats.
-        text = ("[experiment]\nkind = mx_curve\nseed = 0\n\n[prior]\nfamily = horseshoe\n"
+        text = ("[experiment]\nkind = mx_curve\n\n[prior]\nfamily = horseshoe\n"
                 "tau = 0.05\nn = 1000\np = 50\n\n[mx]\nx = 0,0.1,1e-3,25\n")
         config = load_config(write_config(tmp_path, text))
         numpy_grid = replace(config, x_grid=tuple(map(np.float64, config.x_grid)))
@@ -224,8 +239,33 @@ class TestLoadConfig:
         path.write_text(echo_ini(table.csv_text()), encoding="utf-8")
         assert load_config(str(path)).meta() == config.meta()
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_configs(), hst.data())
+    def test_field_the_kind_does_not_read_is_refused(self, tmp_path_factory, config, data):
+        # Was accepted and ignored, and echoed when every kind echoed it.
+        name = data.draw(hst.sampled_from(sorted(_ROWS.keys() - _READ_BY[config.kind]
+                                                 - {"experiment_id", "kind", "prior", "out"})))
+        row = _ROWS[name]
+        value = data.draw(_field_values(config.prior.n, config.prior.p, 1, float)[name]
+                          .filter(lambda v: v != row.default))
+        # In code, at any value but the default ...
+        with pytest.raises(ConfigError, match="not read by kind") as err:
+            replace(config, **{name: value})
+        assert err.value.field_name == row.metadata["name"]
+        # ... and in a file, at any value, the default included.
+        if row.default is not None:
+            value = data.draw(hst.sampled_from([row.default, value]))
+        extra = ({f"model.{k}": repr(getattr(value, k)) for k in ("n", "p_n", "c_psi")}
+                 if name == "model" else {row.metadata["key"]: _text(value)})
+        table = ResultTable(["x"], meta={**config.meta(), **extra})
+        path = tmp_path_factory.mktemp("unread") / "exp.ini"
+        path.write_text(echo_ini(table.csv_text()), encoding="utf-8")
+        with pytest.raises(ConfigError, match="not read by kind") as err:
+            load_config(str(path))
+        assert err.value.field_name == row.metadata["name"]
+
     def test_mx_grid_past_float_range_is_field_error(self, tmp_path):
-        text = ("[experiment]\nkind = mx_curve\nseed = 0\n\n[prior]\nfamily = horseshoe\n"
+        text = ("[experiment]\nkind = mx_curve\n\n[prior]\nfamily = horseshoe\n"
                 "tau = 0.05\nn = 1000\np = 50\n\n[mx]\nx = 0,1e20\n")
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, text))
@@ -332,6 +372,8 @@ class TestRunExperiment:
         from shrinktest import harness
 
         text = BASE_CONFIG.replace("kind = risk_bayes", "kind = risk_minimax")
+        text = text.replace("threads = 1\n", "").replace("draws = 500\n", "")
+        text = text.replace("[model]\nn = 2000\np_n = 40\nc_psi = 1.0\n\n", "")
         text += "\n[signal]\nc1 = 0\n\n[sweep]\nmagnitudes = 5.0,6.0\n"
         out = tmp_path / "partial.csv"
         config = load_config(write_config(tmp_path, text))
@@ -357,12 +399,23 @@ class TestRunExperiment:
         assert {r["magnitude"] for r in rows} == {"5.0"}
         assert lines[-1].startswith("failure: injected failure")
 
+    def test_sweep_leaves_the_separation_rate_uncalibrated(self, monkeypatch):
+        # Was calibrated on a 256-point weight grid, then replaced by the sweep.
+        from shrinktest import harness
+
+        def calibrated(*args):
+            raise AssertionError("separation rate calibrated under a sweep")
+
+        monkeypatch.setattr(harness, "separation_magnitude", calibrated)
+        config = ExperimentConfig(kind="risk_minimax", prior=horseshoe_prior(0.02, 2000, 40),
+                                  replicates=4, seed=3, sweep_magnitudes=(2.0, 6.0))
+        assert run_experiment(config).column("magnitude", row_type="aggregate") == [2.0, 6.0]
+
     def test_mx_curve_kind(self, tmp_path):
         text = """\
 [experiment]
 id = curve
 kind = mx_curve
-seed = 0
 
 [prior]
 family = horseshoe
@@ -397,6 +450,7 @@ x = 0,1,2
 
     def test_adaptive_kind_rows(self, tmp_path):
         text = BASE_CONFIG.replace("kind = risk_bayes", "kind = adaptive")
+        text = text.replace("draws = 500\n", "")
         table = run_experiment(load_config(write_config(tmp_path, text)))
         kinds = table.column("row_type")
         assert kinds.count("replicate") == 3
@@ -595,8 +649,7 @@ class TestEmitPlotScript:
     def _mx_curve_script(tmp_path):
         config = ExperimentConfig(
             experiment_id="curve", kind="mx_curve",
-            prior=horseshoe_prior(0.05, 1000, 50), model=None,
-            alpha=0.5, replicates=1, seed=0, x_grid=(0.0, 1.0, 2.0, 4.0),
+            prior=horseshoe_prior(0.05, 1000, 50), x_grid=(0.0, 1.0, 2.0, 4.0),
         )
         table = run_experiment(config)
         table.write(str(tmp_path / "curve.csv"))
