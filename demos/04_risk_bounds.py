@@ -48,7 +48,7 @@ print(f"FDR+FNR bound at lambda=1/2: {minimax_risk_bound(0.5, alpha, big_c, c, 3
 config = ExperimentConfig(
     experiment_id="risk-vs-signal", kind="risk_minimax",
     prior=prior, alpha=alpha, replicates=50, seed=5,
-    signal_rule="rho_n", v_n=3.0, c1=c1,
+    v_n=3.0,
     sweep_magnitudes=tuple(round(0.25 * k * rho, 3) for k in range(1, 6)),
     out="risk_vs_signal.csv",
 )

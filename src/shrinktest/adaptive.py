@@ -44,6 +44,9 @@ Estimator = Callable[[np.ndarray], "SparsityEstimate"]
 _K = 1.0
 _UPPER_SLACK = 10.0
 _LOWER_FREQUENCY = 0.95
+# The most replicates verify_condition4 draws, one int64 count each in one array:
+# 1e7 take 80 MB and about 1.2 s (2-core x86-64 host).
+MAX_WINDOW_REPLICATES = 10**7
 
 
 @dataclass(frozen=True)
@@ -233,8 +236,8 @@ def verify_condition4(
         raise ValueError(
             f"estimator must be simple_count_estimator (the binomial count layout), got {estimator!r}"
         )
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates")
+    if not 100 <= replicates <= MAX_WINDOW_REPLICATES:
+        raise ValueError(f"replicates must lie in [100, {MAX_WINDOW_REPLICATES:g}], got {replicates!r}")
     t = math.sqrt(2.0 * math.log(model.n))
     frac = model.signal_fraction
     q = (1.0 - frac) * null_rejection_rate(t) + frac * null_rejection_rate(t / model.alt_sd)

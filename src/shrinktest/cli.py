@@ -23,6 +23,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ResultTable,
+    _model,
     append_mx_rows,
     load_config,
     run_experiment,
@@ -31,7 +32,7 @@ from .priors import DegenerateSparsityError, certify_prior, parse_prior_spec
 from .quadrature import NumericError
 from .risk import _BATCHES
 from .shrinkage import ShrinkageCurve
-from .testing import TwoGroupModel, threshold_test
+from .testing import threshold_test
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -204,7 +205,7 @@ def _emit_rows(columns: list[str], rows: list[dict], out: str | None) -> None:
 def _cmd_risk_bayes(args) -> int:
     config = ExperimentConfig(
         experiment_id="risk-bayes", kind="risk_bayes", prior=parse_prior_spec(args.prior),
-        model=TwoGroupModel.from_c_psi(args.n, args.p, args.c_psi), alpha=args.alpha,
+        model=_model(dict(n=args.n, p_n=args.p, c_psi=args.c_psi)), alpha=args.alpha,
         replicates=_BATCHES, seed=args.seed, threads=args.threads, draws=args.draws,
     )
     analytic, aggregate = _experiment_rows(config, 0, -1)
@@ -216,17 +217,16 @@ def _cmd_risk_minimax(args) -> int:
     config = ExperimentConfig(
         experiment_id="risk-minimax", kind="risk_minimax", prior=parse_prior_spec(args.prior),
         alpha=args.alpha, replicates=args.replicates, seed=args.seed, lam=args.lam, v_n=args.v_n,
-        c1=args.c1, signal_rule="rho_n" if args.magnitude is None else "fixed",
-        signal_magnitude=args.magnitude,
+        c1=args.c1, sweep_magnitudes=() if args.magnitude is None else (args.magnitude,),
     )
     _emit_rows(["row_type", "magnitude"] + RISK_COLUMNS, _experiment_rows(config, -1), args.out)
     return EXIT_OK
 
 
 def _cmd_adaptive(args) -> int:
-    model = TwoGroupModel.from_c_psi(args.n, args.p, args.c_psi)
+    model = _model(dict(n=args.n, p_n=args.p, c_psi=args.c_psi))
     config = ExperimentConfig(
-        experiment_id="adaptive", kind="adaptive", prior=horseshoe_family(args.n, args.p),
+        experiment_id="adaptive", kind="adaptive", prior=horseshoe_family(model.n, model.p_n),
         model=model, alpha=args.alpha, replicates=args.risk_replicates, seed=args.seed,
         threads=args.threads, c_u=args.c_u, zeta=args.zeta,
     )

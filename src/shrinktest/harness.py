@@ -4,7 +4,7 @@ Configs are flat key-value files with sections (INI style).  Every run
 is keyed by an explicit seed -- never the clock -- and replicates draw
 from counter-based substreams, so rerunning a config reproduces the
 output byte for byte, with any thread count.  A config holds only the
-fields its kind reads, and the emitted CSV echoes them in comment lines,
+fields it reads, and the emitted CSV echoes them in comment lines,
 under the keys they are read from, so the echo loads back as the same config.
 """
 
@@ -47,6 +47,8 @@ __all__ = [
     "append_mx_rows",
     "MX_COLUMNS",
     "MAX_ABS_X",
+    "MAX_BATCH_DRAWS",
+    "MAX_REPLICATES",
     "RISK_COLUMNS",
 ]
 
@@ -54,6 +56,13 @@ MX_COLUMNS = ["x", "m_x", "posterior_mean"]
 
 # The largest |x| at which every built-in family gives m_x; an m_x grid past it is rejected.
 MAX_ABS_X = 1e5
+# The most replicates a config may ask for: each keeps a table row of about 0.5 kB, so a
+# risk_minimax run of 1e5 replicates at p = 100 peaks near 105 MB and takes about 1 s, and
+# one of 1e6 near 540 MB and 10 s (2-core x86-64 host).
+MAX_REPLICATES = 10**5
+# The most two-group draws in one risk_bayes batch, held as one float64 array: 1e7 draws
+# take 80 MB and about 0.28 s (the kernel takes about 15-26 ms per 1e6 draws, same host).
+MAX_BATCH_DRAWS = 10**7
 
 RISK_COLUMNS = [
     "n", "p", "alpha", "x_star", "type1", "type2", "bayes_risk", "oracle_risk",
@@ -89,15 +98,18 @@ def _c1(text: str) -> float | str:
 _MODEL_KEYS = {"n": int, "p_n": float, "c_psi": float}
 
 
-def _model(section: Mapping[str, str]) -> TwoGroupModel:
-    """The two-group model of a [model] section, which holds exactly n, p_n and c_psi."""
+def _model(section: Mapping) -> TwoGroupModel:
+    """The two-group model of a [model] section (or of the --n, --p and --c-psi flags), which
+    holds exactly n, p_n and c_psi; a bad value is named by its key."""
     for keys, problem in ((section.keys() - _MODEL_KEYS.keys(), "unknown field"),
                           (_MODEL_KEYS.keys() - section.keys(), "missing required field")):
         if keys:
             raise ConfigError(f"model.{min(keys)}", problem)
-    return TwoGroupModel.from_c_psi(
-        **{key: _parse(f"model.{key}", cast, section[key]) for key, cast in _MODEL_KEYS.items()}
-    )
+    values = {key: _parse(f"model.{key}", cast, section[key]) for key, cast in _MODEL_KEYS.items()}
+    invalid = TwoGroupModel.invalid_field(**values)
+    if invalid:
+        raise ConfigError(f"model.{invalid[0]}", invalid[1])
+    return TwoGroupModel.from_c_psi(**values)
 
 
 # What each scalar parser reads, for the message when a text is not one.
@@ -123,11 +135,19 @@ def _text(value) -> str:
 
 
 def _field(key: str, parse: Callable = str, reads=_KINDS, rule=None, dump=None, required=False,
-           echo=True, **default):
-    """One config table row: a field's key, parser, the kinds that read it, rule and flags."""
+           echo=True, unless=None, **default):
+    """One config table row: key, parser, the kinds that read it, when they do not, rule, flags."""
     name = key if "." in key or dump else f"experiment.{key}"
-    return field(metadata=dict(key=key, name=name, parse=parse, reads=reads, rule=rule, dump=dump,
-                               required=required, echo=echo), **default)
+    return field(metadata=dict(key=key, name=name, parse=parse, reads=reads, unless=unless,
+                               rule=rule, dump=dump, required=required, echo=echo), **default)
+
+
+def _unread(row, config) -> str | None:
+    """Why a config leaves a table row's field unread, or None when it reads it."""
+    unless = row.metadata["unless"]
+    if config.kind not in row.metadata["reads"]:
+        return f"is not read by kind {config.kind}"
+    return f"is not read when {unless[1]}" if unless and unless[0](config) else None
 
 
 # Single-field rules: a test of the value and what it must be, written so that nan fails.
@@ -146,13 +166,14 @@ class ExperimentConfig:
 
     A row gives the key the field is read from and echoed under (bare in
     [experiment], section.key elsewhere; prior and model are whole sections),
-    the parser of its text, the kinds that read it, the rule its value must
-    meet alone, and whether those kinds require it.  A field given as text is
-    read by its parser.  A kind refuses a field it does not read unless it holds
-    its default, and its echo writes every field it reads but out.
+    the parser of its text, the kinds that read it and the (test of the config,
+    condition) under which they do not, the rule its value must meet alone, and
+    whether those kinds require it.  A field given as text is read by its parser.
+    A config refuses a field it does not read unless it holds its default, and
+    its echo writes every field it reads but out.
     """
 
-    # kind comes first: every later row's check depends on it.
+    # kind comes first, as every later row's check depends on it, and the sweep before c1.
     kind: str = _field("kind", rule=(lambda v: v in _KINDS, f"must be one of {', '.join(_KINDS)}"))
     experiment_id: str = _field("id", default="experiment")
     prior: ScaleMixturePrior | None = _field("prior", prior_from_config, dump=prior_to_config,
@@ -160,26 +181,24 @@ class ExperimentConfig:
     model: TwoGroupModel | None = _field("model", _model, _TWO_GROUP, required=True, default=None,
                                          dump=lambda m: {k: getattr(m, k) for k in _MODEL_KEYS})
     alpha: float = _field("test.alpha", float, _DRAWN, _IN_UNIT, default=0.5)
-    replicates: int = _field("replicates", int, _DRAWN, _AT_LEAST_1, default=1)
+    replicates: int = _field("replicates", int, _DRAWN, (
+        lambda v: 1 <= v <= MAX_REPLICATES, f"must lie in [1, {MAX_REPLICATES:g}]"), default=1)
     seed: int | None = _field("seed", int, _DRAWN, (lambda v: 0 <= v < 1 << 64, "must lie in [0, 2^64)"),
                               required=True, default=None)
     threads: int = _field("threads", int, _TWO_GROUP, _AT_LEAST_1, default=1)
     out: str | None = _field("out", echo=False, default=None)
     draws: int = _field("draws", int, ("risk_bayes",), _AT_LEAST_1, default=10000)
     lam: float = _field("test.lambda", float, _MINIMAX, _IN_UNIT, default=0.5)
-    signal_rule: str = _field("signal.rule", str, _MINIMAX, (
-        lambda v: v in ("rho_n", "fixed"), "must be rho_n or fixed"), default="rho_n")
-    signal_magnitude: float | None = _field("signal.magnitude", float, _MINIMAX, _FINITE_NONZERO,
-                                            default=None)
+    sweep_magnitudes: tuple[float, ...] = _field("sweep.magnitudes", _floats, _MINIMAX, (
+        lambda v: all(map(_FINITE_NONZERO[0], v)), _FINITE_NONZERO[1]), default=())
     v_n: float = _field("signal.v_n", float, _MINIMAX, _NONNEGATIVE, default=3.0)
     c1: float | str = _field("signal.c1", _c1, _MINIMAX, (
         lambda v: v == "auto" or (math.isfinite(v) and v >= 0.0),
-        "must be 'auto' or a finite number >= 0"), default="auto")
+        "must be 'auto' or a finite number >= 0"), default="auto",
+        unless=(lambda config: config.sweep_magnitudes, "sweep.magnitudes is set"))
     x_grid: tuple[float, ...] = _field("mx.x", _floats, ("mx_curve",), (
         lambda v: all(abs(x) <= MAX_ABS_X for x in v), f"must hold only |x| <= {MAX_ABS_X:g}"),
         required=True, default=())
-    sweep_magnitudes: tuple[float, ...] = _field("sweep.magnitudes", _floats, _MINIMAX, (
-        lambda v: all(map(_FINITE_NONZERO[0], v)), _FINITE_NONZERO[1]), default=())
     c_u: float = _field("c_u", float, ("adaptive",), (
         lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"), default=2.0)
     zeta: float = _field("zeta", float, ("adaptive",), _NONNEGATIVE, default=0.0)
@@ -193,18 +212,18 @@ class ExperimentConfig:
                 object.__setattr__(self, row.name, value)
             if rule and value is not None and not rule[0](value):
                 raise ConfigError(name, f"{rule[1]}, got {value!r}")
-            if self.kind not in row.metadata["reads"] and value != row.default:
-                raise ConfigError(name, f"is not read by kind {self.kind}")
-            if self.kind in row.metadata["reads"] and row.metadata["required"] and _absent(value):
+            unread = _unread(row, self)
+            if unread and value != row.default:
+                raise ConfigError(name, unread)
+            if not unread and row.metadata["required"] and _absent(value):
                 raise ConfigError(name, f"required for kind {self.kind}")
-        if self.kind == "risk_bayes" and self.draws < self.replicates:
-            raise ConfigError("experiment.draws", f"must be >= replicates = {self.replicates} "
-                              f"(one batch of draws per replicate), got {self.draws!r}")
+        most = self.replicates * MAX_BATCH_DRAWS
+        if self.kind == "risk_bayes" and not self.replicates <= self.draws <= most:
+            raise ConfigError("experiment.draws", f"must lie in [{self.replicates}, {most}] (one batch "
+                              f"of 1 to {MAX_BATCH_DRAWS:g} draws per replicate), got {self.draws!r}")
         if self.kind == "risk_minimax" and not float(self.prior.p).is_integer():
             raise ConfigError("prior.p", "must be a whole number for risk_minimax (the signal has "
                               f"p coordinates), got {self.prior.p!r}")
-        if self.signal_rule == "fixed" and self.signal_magnitude is None:
-            raise ConfigError("signal.magnitude", "required when signal.rule = fixed")
         if self.kind == "adaptive" and self.prior.family != "horseshoe":
             raise ConfigError("prior.family", "the adaptive pipeline plugs p_hat into the horseshoe family")
 
@@ -213,7 +232,7 @@ class ExperimentConfig:
         out: dict[str, str] = {}
         for row in fields(self):
             key, dump, value = row.metadata["key"], row.metadata["dump"], getattr(self, row.name)
-            if self.kind in row.metadata["reads"] and row.metadata["echo"] and not _absent(value):
+            if not _unread(row, self) and row.metadata["echo"] and not _absent(value):
                 items = {f"{key}.{k}": v for k, v in dump(value).items()} if dump else {key: value}
                 out.update((k, _text(v)) for k, v in items.items())
         return out
@@ -224,7 +243,7 @@ def _absent(value) -> bool:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read an experiment config file; every key in it must be a key its kind reads."""
+    """Read an experiment config file; every key in it must be a key the config reads."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
@@ -249,9 +268,9 @@ def load_config(path: str) -> ExperimentConfig:
     if texts:
         raise ConfigError(next(iter(texts)), "unknown field")
     config = ExperimentConfig(**values)
-    for row in rows:  # a key its kind does not read is refused even at its default value
-        if row.name in values and config.kind not in row.metadata["reads"]:
-            raise ConfigError(row.metadata["name"], f"is not read by kind {config.kind}")
+    for row in rows:  # a key the config does not read is refused even at its default value
+        if row.name in values and _unread(row, config):
+            raise ConfigError(row.metadata["name"], _unread(row, config))
     return config
 
 
@@ -381,12 +400,8 @@ def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:
     c, big_c = certified_constants(prior)
     bound = minimax_risk_bound(config.lam, config.alpha, big_c, c, config.v_n)
     n, p = prior.n, int(prior.p)
-
-    # The separation rate is calibrated only when no sweep takes its place.
-    rho = lambda: (float(config.signal_magnitude) if config.signal_rule == "fixed"
-                   else separation_magnitude(curve, config.alpha, config.c1, config.v_n))
-    magnitudes = config.sweep_magnitudes or (rho(),)
-
+    magnitudes = config.sweep_magnitudes or (
+        separation_magnitude(curve, config.alpha, config.c1, config.v_n),)
     for magnitude in magnitudes:
         fdp, fnp = fdp_fnp_replicates(flat_signal(n, p, magnitude), x_star, config.replicates,
                                       config.seed)

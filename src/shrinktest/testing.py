@@ -63,16 +63,21 @@ class TwoGroupModel:
     psi_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_n < self.n:
-            raise ValueError("p_n must lie in (0, n)")
-        if not self.c_psi > 0.0:
-            raise ValueError("c_psi must be positive")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        psi_sq = math.log(self.n / self.p_n) / self.c_psi
-        if not psi_sq > 0.0:
-            raise ValueError(f"psi_sq = log(n/p_n)/c_psi must be positive; got c_psi={self.c_psi!r}")
-        object.__setattr__(self, "psi_sq", psi_sq)
+        invalid = self.invalid_field(self.n, self.p_n, self.c_psi)
+        if invalid:
+            raise ValueError(" ".join(invalid))
+        object.__setattr__(self, "psi_sq", math.log(self.n / self.p_n) / self.c_psi)
+
+    @staticmethod
+    def invalid_field(n: int, p_n: float, c_psi: float) -> tuple[str, str] | None:
+        """The first of n, p_n and c_psi that admits no model and what it must be, else None."""
+        if not n >= 2:
+            return "n", f"must be at least 2, got {n!r}"
+        if not 0.0 < p_n < n:
+            return "p_n", f"must lie in (0, n = {n!r}), got {p_n!r}"
+        if not (c_psi > 0.0 and math.log(n / p_n) / c_psi > 0.0):
+            return "c_psi", f"must be positive and leave psi_sq = log(n/p_n)/c_psi positive, got {c_psi!r}"
+        return None
 
     @classmethod
     def from_c_psi(cls, n: int, p_n: float, c_psi: float) -> "TwoGroupModel":

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from shrinktest import ExperimentConfig, TwoGroupModel, cli, parse_prior_spec, run_experiment
+from shrinktest.adaptive import MAX_WINDOW_REPLICATES
 from shrinktest.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from shrinktest.shrinkage import ShrinkageCurve
 from test_golden import reading_kinds
@@ -311,6 +312,15 @@ class TestRiskMinimax:
         assert out == ""
         assert compute_calls == []
 
+    def test_c1_beside_a_magnitude_exits_2_naming_c1(self, capsys, compute_calls):
+        # Was exit 0: --magnitude replaced the separation rate, so --c1 changed nothing.
+        code, out, err = run_cli(capsys, "risk-minimax", "--prior", PRIOR, "--magnitude", "9",
+                                 "--c1", "0.5")
+        assert code == EXIT_VALIDATION
+        assert "validation error: signal.c1: is not read when sweep.magnitudes is set" in err
+        assert out == ""
+        assert compute_calls == []
+
     def test_calibration_failure_exit(self, capsys):
         # The weight crosses 1/2 near x = 30, past the calibration grid's
         # top at the search cap (about 21.6 for n/p = 10/3).
@@ -341,7 +351,7 @@ RISK_BAYES = ["risk-bayes", "--prior", PRIOR, "--n", "1000", "--p", "50"]
 class TestRiskFlagsCheckedAsConfig:
     @pytest.mark.parametrize("argv, field", [
         (["risk-minimax", "--prior", PRIOR, "--lambda", "1.5"], "test.lambda"),
-        (["risk-minimax", "--prior", PRIOR, "--magnitude", "nan"], "signal.magnitude"),
+        (["risk-minimax", "--prior", PRIOR, "--magnitude", "nan"], "sweep.magnitudes"),
         (["adaptive", "--n", "1000", "--p", "50", "--zeta", "-1"], "experiment.zeta"),
         (RISK_BAYES + ["--draws", "-5"], "experiment.draws"),
         (RISK_BAYES + ["--draws", "63"], "experiment.draws"),  # fewer than the 64 batches
@@ -352,6 +362,18 @@ class TestRiskFlagsCheckedAsConfig:
         (["adaptive", "--n", "1000", "--p", "50", "--zeta", "inf"], "experiment.zeta"),
         # Was exit 2, naming no field.
         (["risk-minimax", "--prior", PRIOR, "--v-n", "inf"], "signal.v_n"),
+        # Were exit 2 naming no field, or the section alone.
+        (RISK_BAYES + ["--c-psi", "nan"], "model.c_psi"),
+        (RISK_BAYES + ["--c-psi", "inf"], "model.c_psi"),
+        (RISK_BAYES + ["--p", "0"], "model.p_n"),
+        (["adaptive", "--n", "1000", "--p", "1000"], "model.p_n"),
+        (["adaptive", "--n", "1", "--p", "0.5"], "model.n"),
+        (["adaptive", "--n", "1000", "--p", "50", "--c-psi", "-1"], "model.c_psi"),
+        # Were a MemoryError traceback (exit 1) once the arrays were sized.
+        (RISK_BAYES + ["--draws", str(10**14)], "experiment.draws"),
+        (["risk-minimax", "--prior", PRIOR, "--replicates", str(10**14)], "experiment.replicates"),
+        (["adaptive", "--n", "1000", "--p", "50", "--risk-replicates", str(10**14)],
+         "experiment.replicates"),
     ])
     def test_bad_flag_exits_before_any_compute(self, capsys, compute_calls, argv, field):
         code, out, err = run_cli(capsys, *argv)
@@ -359,6 +381,15 @@ class TestRiskFlagsCheckedAsConfig:
         assert field in err
         assert out == ""
         assert compute_calls == []
+
+    def test_condition4_replicates_past_bound_exit_2_before_drawing(self, capsys, compute_calls):
+        # Was a MemoryError traceback (exit 1) from the one binomial draw of all the counts.
+        code, out, err = run_cli(capsys, "adaptive", "--n", "1000", "--p", "50",
+                                 "--replicates", str(10**14))
+        assert code == EXIT_VALIDATION
+        assert f"replicates must lie in [100, {MAX_WINDOW_REPLICATES:g}], got {10**14}" in err
+        assert out == ""
+        assert compute_calls == ["verify_condition4"]  # refused on entry
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     @pytest.mark.parametrize("argv", [
@@ -462,7 +493,6 @@ _VALID_SIMULATE = {
     "experiment": {"id": "t", "kind": "risk_minimax", "replicates": "2", "seed": "0"},
     "prior": {"family": "horseshoe", "tau": "0.02", "n": "2000", "p": "40"},
     "test": {"alpha": "0.5"},
-    "signal": {"c1": "0"},
     "sweep": {"magnitudes": "3.0,4.0"},
 }
 
@@ -497,8 +527,6 @@ class TestConfigValidatedAtLoad:
         ("sweep.magnitudes", "3.0,0"),
         ("sweep.magnitudes", "3.0,inf"),
         ("sweep.magnitudes", "nan"),
-        ("signal.magnitude", "nan"),
-        ("signal.magnitude", "0"),
         ("signal.c1", "nan"),
         ("experiment.draws", "0"),
         ("experiment.slack", "0.5"),  # no such field
@@ -521,3 +549,13 @@ class TestConfigValidatedAtLoad:
         assert field in err
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("signal.rule", "rho_n"), ("signal.magnitude", "9.0")])
+    def test_removed_signal_key_is_unknown(self, capsys, tmp_path, field, value):
+        # Were accepted beside a sweep, and changed no row.
+        section, key = field.split(".")
+        code, stdout, err = run_cli(capsys, "simulate", "--config",
+                                    _simulate_config(tmp_path, section, key, value))
+        assert code == EXIT_VALIDATION
+        assert f"validation error: {field}: unknown field" in err
+        assert stdout == ""

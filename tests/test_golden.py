@@ -95,7 +95,6 @@ alpha = 0.5
 lambda = 0.5
 
 [signal]
-rule = rho_n
 v_n = 3.0
 
 [sweep]
@@ -110,7 +109,6 @@ seed = 4
 
 {_PRIOR_SECTION}
 [signal]
-rule = rho_n
 c1 = 0.25
 v_n = 1.5
 """,
@@ -186,6 +184,10 @@ CLI_CASES = {
     "risk_minimax.csv": lambda d: _cli(
         d, "risk_minimax.csv", "risk-minimax", "--prior", PRIOR,
         "--v-n", "3", "--replicates", "200",
+    ),
+    "risk_minimax_magnitude.csv": lambda d: _cli(
+        d, "risk_minimax_magnitude.csv", "risk-minimax", "--prior", PRIOR,
+        "--magnitude", "9", "--replicates", "50", "--seed", "1",
     ),
     "adaptive.json": lambda d: _cli(
         d, "adaptive.json", "adaptive", "--n", "10000", "--p", "100",

@@ -21,7 +21,7 @@ from shrinktest import (
     run_experiment,
 )
 from shrinktest.cli import EXIT_OK, main
-from shrinktest.harness import MAX_ABS_X, ResultTable, _text
+from shrinktest.harness import MAX_ABS_X, MAX_BATCH_DRAWS, MAX_REPLICATES, ResultTable, _text
 from shrinktest.priors import parse_prior_spec
 from shrinktest import rng
 from shrinktest.risk import _report_from_counts, two_group_risk_mc
@@ -127,8 +127,7 @@ def _finite(min_value=-1e12, **kwargs):
 _READ_BY = {
     "mx_curve": {"x_grid"},
     "risk_bayes": {"model", "alpha", "replicates", "seed", "threads", "draws"},
-    "risk_minimax": {"alpha", "replicates", "seed", "lam", "signal_rule", "signal_magnitude",
-                     "v_n", "c1", "sweep_magnitudes"},
+    "risk_minimax": {"alpha", "replicates", "seed", "lam", "v_n", "c1", "sweep_magnitudes"},
     "adaptive": {"model", "alpha", "replicates", "seed", "threads", "c_u", "zeta"},
 }
 _ROWS = {row.name: row for row in fields(ExperimentConfig)}
@@ -141,8 +140,7 @@ def _field_values(n, p, replicates, number):
         model=_finite(1e-6).map(lambda c_psi: TwoGroupModel.from_c_psi(n, p, c_psi)),
         alpha=_unit().map(number), lam=_unit().map(number),
         replicates=hst.just(replicates), seed=hst.integers(0, 2**64 - 1),
-        threads=hst.integers(1, 64), draws=hst.integers(replicates, 10**9),
-        signal_rule=hst.sampled_from(["rho_n", "fixed"]), signal_magnitude=nonzero.map(number),
+        threads=hst.integers(1, 64), draws=hst.integers(replicates, replicates * MAX_BATCH_DRAWS),
         v_n=_finite(0.0).map(number), c1=hst.just("auto") | _finite(0.0).map(number),
         x_grid=hst.lists(hst.floats(-MAX_ABS_X, MAX_ABS_X), min_size=1, max_size=5).map(
             lambda xs: tuple(map(number, xs))),
@@ -162,11 +160,11 @@ def _configs(draw):
     prior = horseshoe_prior(draw(_unit()), n, p)
     if kind != "adaptive" and draw(hst.booleans()):
         prior = exponential_prior(draw(_finite(1e-3)), n, p)
-    values = _field_values(n, p, draw(hst.integers(1, 10**6)),
+    values = _field_values(n, p, draw(hst.integers(1, MAX_REPLICATES)),
                            draw(hst.sampled_from([float, np.float64])))
     read = {name: draw(values[name]) for name in sorted(_READ_BY[kind])}
-    if read.get("signal_rule") == "rho_n" and draw(hst.booleans()):
-        read["signal_magnitude"] = None  # only a fixed rule needs a magnitude
+    if read.get("sweep_magnitudes"):
+        del read["c1"]  # only the separation rate, which a sweep replaces, reads c1
     return ExperimentConfig(experiment_id=draw(hst.text("abc-_%;#=:.()[]019", min_size=1)),
                             kind=kind, prior=prior, **read)
 
@@ -264,6 +262,26 @@ class TestLoadConfig:
             load_config(str(path))
         assert err.value.field_name == row.metadata["name"]
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_configs().filter(lambda config: config.kind == "risk_minimax"), hst.data())
+    def test_c1_beside_a_sweep_is_refused(self, tmp_path_factory, config, data):
+        # Was accepted and echoed, though a sweep leaves the separation rate uncalibrated.
+        values = _field_values(config.prior.n, config.prior.p, 1, float)
+        sweep = config.sweep_magnitudes or data.draw(values["sweep_magnitudes"].filter(bool))
+        c1 = data.draw(values["c1"].filter(lambda v: v != "auto"))
+        # In code, at any value but the default ...
+        with pytest.raises(ConfigError, match="is not read when sweep.magnitudes is set") as err:
+            replace(config, sweep_magnitudes=sweep, c1=c1)
+        assert err.value.field_name == "signal.c1"
+        # ... and in a file, at any value, the default included.
+        c1 = data.draw(hst.sampled_from(["auto", c1]))
+        meta = {**replace(config, sweep_magnitudes=sweep, c1="auto").meta(), "signal.c1": _text(c1)}
+        path = tmp_path_factory.mktemp("c1") / "exp.ini"
+        path.write_text(echo_ini(ResultTable(["x"], meta=meta).csv_text()), encoding="utf-8")
+        with pytest.raises(ConfigError, match="is not read when sweep.magnitudes is set") as err:
+            load_config(str(path))
+        assert err.value.field_name == "signal.c1"
+
     def test_mx_grid_past_float_range_is_field_error(self, tmp_path):
         text = ("[experiment]\nkind = mx_curve\n\n[prior]\nfamily = horseshoe\n"
                 "tau = 0.05\nn = 1000\np = 50\n\n[mx]\nx = 0,1e20\n")
@@ -285,6 +303,36 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, text))
         assert err.value.field_name == "prior"
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "1"), ("p_n", "0"), ("p_n", "2000"), ("p_n", "nan"),
+        ("c_psi", "-1"), ("c_psi", "nan"), ("c_psi", "inf"),
+    ])
+    def test_bad_model_value_names_its_key(self, tmp_path, key, value):
+        # Was named only by its section, "model".
+        model = {"n": "2000", "p_n": "40", "c_psi": "1.0", key: value}
+        text = BASE_CONFIG.replace("[model]\nn = 2000\np_n = 40\nc_psi = 1.0\n", "[model]\n" + "".join(
+            f"{k} = {v}\n" for k, v in model.items()))
+        assert f"\n{key} = {value}\n" in text
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, text))
+        assert err.value.field_name == f"model.{key}"
+
+    def test_count_past_its_bound_is_field_error(self, tmp_path):
+        # Were accepted, then ended in a MemoryError traceback once the arrays were sized.
+        top = f"replicates = {MAX_REPLICATES}\n"
+        load_config(write_config(tmp_path, BASE_CONFIG.replace("replicates = 3\n", top)
+                                 .replace("draws = 500", f"draws = {MAX_REPLICATES}")))
+        for old, new, name in [
+            ("replicates = 3\n", f"replicates = {MAX_REPLICATES + 1}\n", "experiment.replicates"),
+            ("draws = 500", f"draws = {3 * MAX_BATCH_DRAWS + 1}", "experiment.draws"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                load_config(write_config(tmp_path, BASE_CONFIG.replace(old, new)))
+            assert err.value.field_name == name
+        config = load_config(write_config(
+            tmp_path, BASE_CONFIG.replace("draws = 500", f"draws = {3 * MAX_BATCH_DRAWS}")))
+        assert config.draws == 3 * MAX_BATCH_DRAWS
 
 
 class TestRunExperiment:
@@ -374,7 +422,7 @@ class TestRunExperiment:
         text = BASE_CONFIG.replace("kind = risk_bayes", "kind = risk_minimax")
         text = text.replace("threads = 1\n", "").replace("draws = 500\n", "")
         text = text.replace("[model]\nn = 2000\np_n = 40\nc_psi = 1.0\n\n", "")
-        text += "\n[signal]\nc1 = 0\n\n[sweep]\nmagnitudes = 5.0,6.0\n"
+        text += "\n[sweep]\nmagnitudes = 5.0,6.0\n"
         out = tmp_path / "partial.csv"
         config = load_config(write_config(tmp_path, text))
         from dataclasses import replace
@@ -480,9 +528,7 @@ alpha = 0.5
 lambda = 0.5
 
 [signal]
-rule = rho_n
 v_n = 3.0
-c1 = 0.0
 
 [sweep]
 magnitudes = 2.0,6.0
