@@ -2,10 +2,10 @@
 the decision threshold and of the demos.
 
 Each case runs a CLI command (or `simulate` on an INI written here, or
-`decision_threshold` over a grid of priors and alphas, or a demo script
-in a fresh directory) and compares its output with the file of the same
-name under `tests/golden/`, byte for byte; a demo's output is its
-stdout, in `demo_<number>.txt`.  The files pin what a refactor must not move: every float is
+`decision_threshold` or `calibrate_signal_offset` over a grid of priors
+and alphas, or a demo script in a fresh directory) and compares its
+output with the file of the same name under `tests/golden/`, byte for
+byte; a demo's output is its stdout, in `demo_<number>.txt`.  The files pin what a refactor must not move: every float is
 written by `repr`, so a change in the last bit of a bound, a risk, a
 threshold or a Monte Carlo mean shows up here.  `simulate` runs each
 config against its file, again at threads 4 where its kind reads
@@ -33,7 +33,9 @@ import tempfile
 
 import pytest
 
-from shrinktest import ExperimentConfig, NumericError, ShrinkageCurve, parse_prior_spec
+from shrinktest import (
+    ExperimentConfig, NumericError, ShrinkageCurve, calibrate_signal_offset, parse_prior_spec,
+)
 from shrinktest.cli import EXIT_OK, EXIT_VALIDATION, main
 from shrinktest.rng import substream
 
@@ -189,6 +191,10 @@ CLI_CASES = {
         d, "risk_minimax_magnitude.csv", "risk-minimax", "--prior", PRIOR,
         "--magnitude", "9", "--replicates", "50", "--seed", "1",
     ),
+    "risk_minimax_exponential.csv": lambda d: _cli(
+        d, "risk_minimax_exponential.csv", "risk-minimax",
+        "--prior", "exponential:rate=1,n=10000,p=100", "--replicates", "50",
+    ),
     "adaptive.json": lambda d: _cli(
         d, "adaptive.json", "adaptive", "--n", "10000", "--p", "100",
         "--replicates", "200", "--risk-replicates", "50",
@@ -209,18 +215,28 @@ THRESHOLD_PRIORS = [
 THRESHOLD_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def _thresholds() -> bytes:
-    """repr(x*(alpha)), or the class name of the error raised, per prior and alpha."""
+def _per_prior_and_alpha(compute) -> bytes:
+    """repr(compute(curve, alpha)), or the class name of the error raised, per prior and alpha."""
     cases: dict[str, dict[str, str]] = {}
     for spec in THRESHOLD_PRIORS:
         curve = ShrinkageCurve(parse_prior_spec(spec))
         cases[spec] = {}
         for alpha in THRESHOLD_ALPHAS:
             try:
-                cases[spec][repr(alpha)] = repr(curve.decision_threshold(alpha))
+                cases[spec][repr(alpha)] = repr(compute(curve, alpha))
             except NumericError as exc:
                 cases[spec][repr(alpha)] = type(exc).__name__
     return (json.dumps(cases, indent=2) + "\n").encode("utf-8")
+
+
+def _thresholds() -> bytes:
+    """x*(alpha) per prior and alpha."""
+    return _per_prior_and_alpha(ShrinkageCurve.decision_threshold)
+
+
+def _calibrations() -> bytes:
+    """The separation rate's calibrated offset c1 per prior and alpha."""
+    return _per_prior_and_alpha(calibrate_signal_offset)
 
 
 def _simulate(workdir: pathlib.Path, kind: str, threads: int) -> bytes:
@@ -266,6 +282,10 @@ def test_threshold_bytes():
     assert _thresholds() == _golden("thresholds.json")
 
 
+def test_calibration_bytes():
+    assert _calibrations() == _golden("calibrations.json")
+
+
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_demo_stdout_bytes(name, tmp_path):
     assert _demo(tmp_path, name) == _golden(name)
@@ -308,6 +328,7 @@ def _regenerate() -> None:
         workdir = pathlib.Path(tmp)
         outputs = {name: case(workdir) for name, case in CLI_CASES.items()}
         outputs["thresholds.json"] = _thresholds()
+        outputs["calibrations.json"] = _calibrations()
         outputs.update(
             {f"simulate_{kind}.csv": _simulate(workdir, kind, 1) for kind in CONFIGS}
         )
