@@ -68,7 +68,7 @@ from .risk import (
     two_group_risk_mc,
 )
 from .rng import map_replicates, substream, substreams
-from .shrinkage import AlwaysReject, NoCrossing, ShrinkageCurve, large_signal_threshold
+from .shrinkage import AlwaysReject, NoCrossing, ShrinkageCurve
 from .testing import (
     DecisionVector,
     TwoGroupModel,

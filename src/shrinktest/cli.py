@@ -134,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--prior", required=True)
     p_rm.add_argument("--alpha", type=float, default=0.5)
     p_rm.add_argument("--v-n", type=float, default=3.0)
-    p_rm.add_argument("--c1", default="auto", help="'auto' calibrates on a weight grid")
+    p_rm.add_argument("--c1", default="auto",
+                      help="'auto' rounds x* up to a 256-point grid and subtracts the sqrt term")
     p_rm.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p_rm.add_argument("--replicates", type=int, default=200)
     p_rm.add_argument("--magnitude", type=float, default=None,

@@ -60,8 +60,9 @@ MAX_ABS_X = 1e5
 # risk_minimax run of 1e5 replicates at p = 100 peaks near 105 MB and takes about 1 s, and
 # one of 1e6 near 540 MB and 10 s (2-core x86-64 host).
 MAX_REPLICATES = 10**5
-# The most two-group draws in one risk_bayes batch, held as one float64 array: 1e7 draws
-# take 80 MB and about 0.28 s (the kernel takes about 15-26 ms per 1e6 draws, same host).
+# The most float64 values a run holds in one array: the draws of one risk_bayes batch, the p
+# signal values of risk_minimax and the n draws of one adaptive risk replicate.  1e7 values take
+# 80 MB; a risk_bayes batch of 1e7 draws takes about 0.28 s (same host).
 MAX_BATCH_DRAWS = 10**7
 
 RISK_COLUMNS = [
@@ -224,6 +225,12 @@ class ExperimentConfig:
         if self.kind == "risk_minimax" and not float(self.prior.p).is_integer():
             raise ConfigError("prior.p", "must be a whole number for risk_minimax (the signal has "
                               f"p coordinates), got {self.prior.p!r}")
+        if self.kind == "risk_minimax" and not self.prior.p <= MAX_BATCH_DRAWS:
+            raise ConfigError("prior.p", f"must be at most {MAX_BATCH_DRAWS:g} for risk_minimax (one "
+                              f"array of the p signal values), got {self.prior.p!r}")
+        if self.kind == "adaptive" and not self.model.n <= MAX_BATCH_DRAWS:
+            raise ConfigError("model.n", f"must be at most {MAX_BATCH_DRAWS:g} for adaptive (one array "
+                              f"of the n draws of a risk replicate), got {self.model.n!r}")
         if self.kind == "adaptive" and self.prior.family != "horseshoe":
             raise ConfigError("prior.family", "the adaptive pipeline plugs p_hat into the horseshoe family")
 

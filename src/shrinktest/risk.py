@@ -20,7 +20,7 @@ from scipy.special import ndtr
 from .priors import ScaleMixturePrior
 from .quadrature import NumericError
 from .rng import STREAM_NOISE, STREAM_TWO_GROUP, map_replicates, split_draws, substreams
-from .shrinkage import ShrinkageCurve, large_signal_threshold
+from .shrinkage import AlwaysReject, NoCrossing, ShrinkageCurve
 from .testing import TwoGroupModel
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _RATE_SLACK = 1e-12
+_CALIBRATION_GRID = 256  # points on [0, search cap] that the calibrated x* is rounded up to
 _BATCHES = 64  # two-group draws are split into this many substreams, whatever the thread count
 
 
@@ -174,8 +175,8 @@ def bayes_risk_bound(
         raise ValueError("bound needs the certified constants C and c")
     if not cond2_constant > 0.0 or cond3_constant < 0.0:
         raise ValueError("need c > 0 and C >= 0")
-    if not c_u > 0.0 or zeta < 0.0:
-        raise ValueError("need C^u > 0 and zeta >= 0")
+    if not c_u > 0.0 or not zeta >= 0.0:
+        raise ValueError(f"need C^u > 0 and zeta >= 0, got C^u = {c_u!r}, zeta = {zeta!r}")
     type1_term = 8.0 * math.sqrt(math.pi) * cond3_constant * c_u / (cond2_constant * alpha)
     return model.p_n * (type1_term + _tail_term(prior, model.c_psi, zeta))
 
@@ -203,6 +204,8 @@ def minimax_risk_bound(
         raise ValueError("C^u must be positive")
     if not cond2_constant > 0.0 or cond3_constant < 0.0:
         raise ValueError("need c > 0 and C >= 0")
+    if not v_n >= 0.0:
+        raise ValueError(f"v_n must be nonnegative, got {v_n!r}")
     if cond3_constant == 0.0:
         fdr_term = 0.0
     else:
@@ -217,36 +220,42 @@ def separation_rate(
     c1: float = 0.0,
     v_n: float = 0.0,
 ) -> float:
-    """Smallest certified-detectable magnitude:
-    c1 + sqrt(2K(u0+1) log(n/p)), p the prior's or the plug-in floor, + v_n."""
-    if v_n < 0.0:
-        raise ValueError("v_n must be nonnegative")
-    return large_signal_threshold(prior, p, c1) + v_n
+    """Smallest certified-detectable magnitude: c1 + sqrt(2K(u0+1) log(n/p)) + v_n,
+    from the prior's declared tail constants, p the prior's or the plug-in floor."""
+    if prior.lower_exponent is None:
+        raise ValueError("prior does not declare the tail exponent K")
+    if not c1 >= 0.0:
+        raise ValueError(f"c1 must be nonnegative, got {c1!r}")
+    if not v_n >= 0.0:
+        raise ValueError(f"v_n must be nonnegative, got {v_n!r}")
+    p = prior.p if p is None else float(p)
+    if not 0.0 < p < prior.n:
+        raise ValueError(f"p must lie in (0, n); got p={p}, n={prior.n}")
+    k, u0 = prior.lower_exponent, prior.rv_onset
+    return c1 + math.sqrt(2.0 * k * (1.0 + u0) * math.log(prior.n / p)) + v_n
 
 
-def calibrate_signal_offset(
-    curve: ShrinkageCurve,
-    alpha: float,
-    n_grid: int = 256,
-) -> float:
+def calibrate_signal_offset(curve: ShrinkageCurve, alpha: float) -> float:
     """Empirical additive constant for the separation rate.
 
-    Scans the weight on a grid of [0, curve.search_cap()], takes the smallest grid value T beyond
-    which m_x >= alpha throughout, and returns the exceedance of T over
-    the declared sqrt(2K(u0+1) log(n/p)) term (floored at zero).  Raises
-    NumericError when m_x is still below alpha at the top of the grid.
+    Rounds the crossing x*(alpha) up to the 256-point grid on
+    [0, curve.search_cap()] and returns its exceedance over the declared
+    sqrt(2K(u0+1) log(n/p)) term, floored at zero; 0 when m_0 >= alpha.
+    Raises NumericError when m_x is still below alpha at the top of the
+    grid.
     """
-    x_max = curve.search_cap()
-    grid = np.linspace(0.0, x_max, n_grid)
-    vals = curve.weights(grid)
-    below = np.flatnonzero(vals < alpha)
-    if len(below) == 0:
-        t_grid = 0.0
-    elif below[-1] == n_grid - 1:
-        raise NumericError(f"m_x < alpha at the top of the grid (x={x_max:g})")
-    else:
-        t_grid = float(grid[below[-1] + 1])
-    return max(0.0, t_grid - large_signal_threshold(curve.prior))
+    cap = curve.search_cap()
+    try:
+        x_star = curve.decision_threshold(alpha)
+    except AlwaysReject:
+        return 0.0
+    except NoCrossing:
+        x_star = math.inf
+    grid = np.linspace(0.0, cap, _CALIBRATION_GRID)
+    top = int(np.searchsorted(grid, x_star))
+    if top == _CALIBRATION_GRID:
+        raise NumericError(f"m_x < alpha at the top of the grid (x={cap:g})")
+    return max(0.0, float(grid[top]) - separation_rate(curve.prior))
 
 
 def separation_magnitude(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -92,9 +93,8 @@ def map_replicates(
     workers = min(threads, _usable_cpus(), replicates)
     if workers <= 1:
         return list(fn(range(replicates)))
-    base, rem = divmod(replicates, workers)  # chunk sizes as in split_draws
-    starts = [i * base + min(i, rem) for i in range(workers + 1)]
-    chunks = [range(a, b) for a, b in zip(starts, starts[1:])]
+    ends = list(accumulate(split_draws(replicates, workers)))
+    chunks = [range(a, b) for a, b in zip([0] + ends, ends)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return [result for chunk in pool.map(fn, chunks) for result in chunk]
 

@@ -39,7 +39,6 @@ __all__ = [
     "AlwaysReject",
     "NoCrossing",
     "ShrinkageCurve",
-    "large_signal_threshold",
 ]
 
 _STEP_TOL = 1e-12
@@ -278,22 +277,3 @@ class ShrinkageCurve:
 def _logit(m: float) -> float:
     """log(m / (1 - m)), infinite at 0 and 1."""
     return math.log(m / (1.0 - m)) if 0.0 < m < 1.0 else math.copysign(math.inf, m - 0.5)
-
-
-def large_signal_threshold(
-    prior: ScaleMixturePrior, p: float | None = None, c1: float = 0.0
-) -> float:
-    """Magnitude beyond which the shrinkage weight is guaranteed large.
-
-    Returns c1 + sqrt(2 K (1 + u0) log(n/p)) from the prior's declared
-    tail constants; pure arithmetic consumed by the risk bounds.
-    """
-    if prior.lower_exponent is None:
-        raise ValueError("prior does not declare the tail exponent K")
-    if c1 < 0.0:
-        raise ValueError("c1 must be nonnegative")
-    p = prior.p if p is None else float(p)
-    if not 0.0 < p < prior.n:
-        raise ValueError(f"p must lie in (0, n); got p={p}, n={prior.n}")
-    k, u0 = prior.lower_exponent, prior.rv_onset
-    return c1 + math.sqrt(2.0 * k * (1.0 + u0) * math.log(prior.n / p))

@@ -108,6 +108,26 @@ class ReferenceCurve:
         return 0.5 * (lo + hi)
 
 
+def calibrate_signal_offset_scan(curve, alpha: float, n_grid: int = 256) -> float:
+    """The separation rate's offset c1 by the weight scan the library used before it read x*.
+
+    Scans m_x on n_grid points of [0, curve.search_cap()], takes the
+    smallest grid value T beyond which m_x >= alpha throughout, and
+    returns T minus sqrt(2K(u0+1) log(n/p)), floored at zero.  Raises
+    NumericError when m_x is still below alpha at the top of the grid.
+    """
+    prior, x_max = curve.prior, curve.search_cap()
+    grid = np.linspace(0.0, x_max, n_grid)
+    below = np.flatnonzero(curve.weights(grid) < alpha)
+    if len(below) == 0:
+        t_grid = 0.0
+    elif below[-1] == n_grid - 1:
+        raise NumericError(f"m_x < alpha at the top of the grid (x={x_max:g})")
+    else:
+        t_grid = float(grid[below[-1] + 1])
+    k, u0 = prior.lower_exponent, prior.rv_onset
+    return max(0.0, t_grid - math.sqrt(2.0 * k * (1.0 + u0) * math.log(prior.n / prior.p)))
+
 def trapezoid_mass_below(prior, cutoff: float = 1.0, nodes: int = 10**6) -> float:
     """Integral of pi over (0, cutoff) via u = t^2 on a uniform t grid."""
     t = np.linspace(0.0, math.sqrt(cutoff), nodes)

@@ -22,7 +22,6 @@ from shrinktest import (
     flat_signal,
     horseshoe_prior,
     inverse_gamma_prior,
-    large_signal_threshold,
     minimax_risk_bound,
     oracle_comparison_mc,
     oracle_risk,
@@ -108,9 +107,9 @@ def test_criterion_3_bayes_risk_bound(desk):
     start = time.monotonic()
     prior, model, curve, c, big_c, x_star = desk
     # The additive offset of the guaranteed-detection threshold is
-    # calibrated on a weight grid, with the declared K = 1, u0 = 1.
-    c1 = calibrate_signal_offset(curve, 0.5, n_grid=128)
-    threshold = large_signal_threshold(prior, c1=c1)
+    # calibrated from x*, with the declared K = 1, u0 = 1.
+    c1 = calibrate_signal_offset(curve, 0.5)
+    threshold = separation_rate(prior, c1=c1)
     grid_ok = all(
         curve.weight(x) >= 0.5 - 1e-9 for x in np.linspace(threshold, threshold + 8.0, 33)
     )
@@ -146,7 +145,7 @@ def test_criterion_4_mc_vs_analytic(desk):
 def test_criterion_5_minimax_bound(desk):
     start = time.monotonic()
     prior, model, curve, c, big_c, x_star = desk
-    c1 = calibrate_signal_offset(curve, 0.5, n_grid=128)
+    c1 = calibrate_signal_offset(curve, 0.5)
     rho = separation_rate(prior, c1=c1, v_n=3.0)
     bound = minimax_risk_bound(0.5, 0.5, big_c, c, 3.0)
     at_rho = fdr_fnr_mc(

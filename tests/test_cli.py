@@ -8,6 +8,7 @@ import pytest
 from shrinktest import ExperimentConfig, TwoGroupModel, cli, parse_prior_spec, run_experiment
 from shrinktest.adaptive import MAX_WINDOW_REPLICATES
 from shrinktest.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+from shrinktest.harness import MAX_BATCH_DRAWS
 from shrinktest.shrinkage import ShrinkageCurve
 from test_golden import reading_kinds
 
@@ -374,6 +375,12 @@ class TestRiskFlagsCheckedAsConfig:
         (["risk-minimax", "--prior", PRIOR, "--replicates", str(10**14)], "experiment.replicates"),
         (["adaptive", "--n", "1000", "--p", "50", "--risk-replicates", str(10**14)],
          "experiment.replicates"),
+        # Were a MemoryError traceback asking for 74.5 GiB: the p signal values, or the n draws
+        # of one adaptive risk replicate, in one array.
+        (["risk-minimax", "--prior", "horseshoe:tau=0.01,n=1000000000000,p=10000000000",
+          "--magnitude", "9", "--replicates", "1"], f"prior.p: must be at most {MAX_BATCH_DRAWS:g}"),
+        (["adaptive", "--n", "10000000000", "--p", "100", "--risk-replicates", "1",
+          "--replicates", "100"], f"model.n: must be at most {MAX_BATCH_DRAWS:g}"),
     ])
     def test_bad_flag_exits_before_any_compute(self, capsys, compute_calls, argv, field):
         code, out, err = run_cli(capsys, *argv)

@@ -335,6 +335,19 @@ class TestLoadConfig:
         assert config.draws == 3 * MAX_BATCH_DRAWS
 
 
+    @pytest.mark.parametrize("kind, name, config", [
+        ("risk_minimax", "prior.p", lambda size: dict(prior=horseshoe_prior(0.01, 10 * size, size))),
+        ("adaptive", "model.n", lambda size: dict(prior=horseshoe_prior(0.01, size, 100),
+                                                   model=TwoGroupModel.from_c_psi(size, 100, 1.0))),
+    ], ids=["risk_minimax", "adaptive"])
+    def test_array_size_past_its_bound_is_field_error(self, kind, name, config):
+        # Were accepted, then ended in a MemoryError traceback once the one array was sized.
+        ExperimentConfig(kind=kind, seed=1, **config(MAX_BATCH_DRAWS))
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind=kind, seed=1, **config(MAX_BATCH_DRAWS + 1))
+        assert err.value.field_name == name
+
+
 class TestRunExperiment:
     def test_rows_and_aggregate(self, tmp_path):
         config = load_config(write_config(tmp_path, BASE_CONFIG))

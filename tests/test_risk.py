@@ -6,18 +6,23 @@ import pytest
 from scipy.stats import norm
 
 from shrinktest import (
+    NumericError,
     RiskReport,
+    ScaleMixturePrior,
     ShrinkageCurve,
     SparseSignal,
     TwoGroupModel,
     bayes_risk_analytic,
     bayes_risk_bound,
     adaptive_risk_replicates,
+    calibrate_signal_offset,
+    exponential_prior,
     fdp_fnp_replicates,
     fdr_fnr_mc,
     flat_signal,
     horseshoe_family,
     horseshoe_prior,
+    inverse_gamma_prior,
     minimax_risk_bound,
     miss_probability,
     oracle_comparison_mc,
@@ -174,14 +179,95 @@ class TestBayesRiskBound:
             bayes_risk_bound(prior, model, 0.5, 0.25, 0.0)
 
 
+_DESK_PRIOR = horseshoe_prior(0.01, 10**4, 100)
+
+
 class TestSeparationRate:
     def test_reference_value(self):
-        prior = horseshoe_prior(0.01, 10**4, 100)
-        assert separation_rate(prior) == pytest.approx(4.291932052578694, abs=1e-12)
+        # K = 1, u0 = 1, n/p = 100: sqrt(4 log 100) = 4.29193...
+        assert separation_rate(_DESK_PRIOR) == pytest.approx(4.291932052578694, abs=1e-12)
 
     def test_v_n_adds_exactly(self):
-        prior = horseshoe_prior(0.01, 10**4, 100)
-        assert separation_rate(prior, v_n=3.0) == separation_rate(prior) + 3.0
+        assert separation_rate(_DESK_PRIOR, v_n=3.0) == separation_rate(_DESK_PRIOR) + 3.0
+
+    def test_zero_exponent_collapses_to_offset(self):
+        prior = exponential_prior(1.0, 10**4, 100)  # declares K = 0
+        assert separation_rate(prior, c1=1.25) == 1.25
+
+    def test_explicit_p_argument(self):
+        assert separation_rate(_DESK_PRIOR, p=1000.0) < separation_rate(_DESK_PRIOR)
+
+    @pytest.mark.parametrize("prior, kwargs, match", [
+        (_DESK_PRIOR, {"p": 10**4}, "p must lie in"),
+        (ScaleMixturePrior(log_density=lambda u: -np.asarray(u, dtype=float), n=100, p=10), {},
+         "tail exponent"),
+        (_DESK_PRIOR, {"c1": -1.0}, "c1"),
+    ], ids=["p=n", "no-exponent", "negative-c1"])
+    def test_refused(self, prior, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            separation_rate(prior, **kwargs)
+
+    def test_empirical_companion(self):
+        # Weights stay above 1/2 beyond the calibrated rate.
+        curve = ShrinkageCurve(_DESK_PRIOR)
+        threshold = separation_rate(_DESK_PRIOR, c1=calibrate_signal_offset(curve, 0.5))
+        for x in np.linspace(threshold, threshold + 10.0, 41):
+            assert curve.weight(x) >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: separation_rate(_DESK_PRIOR, c1=math.nan), "c1"),
+    (lambda: separation_rate(_DESK_PRIOR, v_n=math.nan), "v_n"),
+    (lambda: bayes_risk_bound(_DESK_PRIOR, TwoGroupModel.from_c_psi(10**4, 100, 1.0), 0.5, 0.25,
+                              0.5, zeta=math.nan), "zeta"),
+    (lambda: minimax_risk_bound(0.5, 0.5, 1e-3, 0.5, math.nan), "v_n"),
+], ids=["separation_rate-c1", "separation_rate-v_n", "bayes_risk_bound-zeta",
+        "minimax_risk_bound-v_n"])
+def test_nan_argument_is_refused(call, name):
+    # Each returned nan before.
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+# Three families with tau from 1e-8 to 0.1 (tau = p/n for the exponential and inverse-gamma).
+_CALIBRATION_PRIORS = {
+    f"{name}-tau={tau:g}": make(tau)
+    for tau in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1)
+    for name, make in (
+        ("horseshoe", lambda tau: horseshoe_prior(tau, 10**8, tau * 10**8)),
+        ("exponential-rate=1", lambda tau: exponential_prior(1.0, 10**8, tau * 10**8)),
+        ("exponential-rate=10", lambda tau: exponential_prior(10.0, 10**8, tau * 10**8)),
+        ("inverse_gamma", lambda tau: inverse_gamma_prior(2.0, 1.0, 10**8, tau * 10**8)),
+    )
+}
+
+
+class TestCalibrateSignalOffset:
+    @pytest.mark.parametrize("name", _CALIBRATION_PRIORS)
+    def test_matches_the_weight_scan(self, name):
+        curve = ShrinkageCurve(_CALIBRATION_PRIORS[name])
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            try:
+                expected = repr(oracles.calibrate_signal_offset_scan(curve, alpha))
+            except NumericError:
+                expected = "NumericError"
+            try:
+                got = repr(calibrate_signal_offset(curve, alpha))
+            except NumericError:
+                got = "NumericError"
+            assert got == expected, alpha
+
+    def test_reads_the_decision_threshold(self, monkeypatch):
+        alphas = []
+        search = ShrinkageCurve.decision_threshold
+
+        def spy(curve, alpha):
+            alphas.append(alpha)
+            return search(curve, alpha)
+
+        monkeypatch.setattr(ShrinkageCurve, "decision_threshold", spy)
+        calibrate_signal_offset(ShrinkageCurve(_DESK_PRIOR), 0.5)
+        assert alphas == [0.5]
 
 
 class TestDetectionWindow:

@@ -14,11 +14,9 @@ from shrinktest import (
     NumericError,
     ScaleMixturePrior,
     ShrinkageCurve,
-    calibrate_signal_offset,
     exponential_prior,
     horseshoe_prior,
     inverse_gamma_prior,
-    large_signal_threshold,
 )
 
 import oracles
@@ -414,40 +412,3 @@ class TestThresholdSearch:
         assert oracles.laplace_weight(10.0, root) == pytest.approx(0.9, abs=1e-15)
         assert abs(curve.decision_threshold(0.9) - root) <= 1e-13
 
-
-class TestLargeSignalThreshold:
-    def test_declared_constant_value(self):
-        # K=1, u0=1, n/p=100: sqrt(4 log 100) = 4.29193...
-        prior = horseshoe_prior(0.01, 10**4, 100)
-        assert large_signal_threshold(prior) == pytest.approx(4.291932052578694, abs=1e-12)
-
-    def test_zero_exponent_collapses_to_offset(self):
-        prior = exponential_prior(1.0, 10**4, 100)  # declares K = 0
-        assert large_signal_threshold(prior, c1=1.25) == 1.25
-
-    def test_explicit_p_argument(self):
-        prior = horseshoe_prior(0.01, 10**4, 100)
-        t_small = large_signal_threshold(prior, p=1000.0)
-        assert t_small < large_signal_threshold(prior)
-        with pytest.raises(ValueError):
-            large_signal_threshold(prior, p=10**4)
-
-    def test_missing_exponent(self):
-        prior = ScaleMixturePrior(
-            log_density=lambda u: -np.asarray(u, dtype=float), n=100, p=10
-        )
-        with pytest.raises(ValueError, match="tail exponent"):
-            large_signal_threshold(prior)
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            large_signal_threshold(horseshoe_prior(0.01, 10**4, 100), c1=-1.0)
-
-    def test_empirical_companion(self):
-        # Weights stay above 1/2 beyond the calibrated threshold.
-        prior = horseshoe_prior(0.01, 10**4, 100)
-        curve = ShrinkageCurve(prior)
-        c1 = calibrate_signal_offset(curve, 0.5, n_grid=128)
-        threshold = large_signal_threshold(prior, c1=c1)
-        for x in np.linspace(threshold, threshold + 10.0, 41):
-            assert curve.weight(x) >= 0.5 - 1e-9
