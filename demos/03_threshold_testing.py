@@ -35,11 +35,10 @@ procedures = {
 truth = np.zeros(n, dtype=bool)
 truth[:p] = True
 print(f"{'procedure':<34} rejections  true pos  false pos  missed")
-for label, decisions in procedures.items():
-    rej = decisions.decisions
+for label, rej in procedures.items():
     tp = int((rej & truth).sum())
     fp = int((rej & ~truth).sum())
-    print(f"{label:<34} {decisions.n_rejections:<11d} {tp:<9d} {fp:<10d} {p - tp}")
+    print(f"{label:<34} {int(rej.sum()):<11d} {tp:<9d} {fp:<10d} {p - tp}")
 
 x_star = curve.decision_threshold(0.5)
 print(f"\nshrinkage cut |x| > {x_star:.4f}; two-group cut |x| >= {model.oracle_cutoff():.4f}")

@@ -40,7 +40,7 @@ print(f"MC risk        = {mc.bayes_risk:8.2f} +- {mc.se('bayes_risk'):.2f}")
 print(f"bound          = {bound:8.2f}")
 print(f"optimal (ref)  = {oracle_risk(model):8.2f}")
 
-c1 = calibrate_signal_offset(curve, alpha)
+c1 = calibrate_signal_offset(curve, x_star)
 rho = separation_rate(prior, c1=c1, v_n=3.0)
 print(f"\nseparation rate rho = {rho:.3f} (c1 = {c1:.3f}, v_n = 3)")
 print(f"FDR+FNR bound at lambda=1/2: {minimax_risk_bound(0.5, alpha, big_c, c, 3.0):.4f}")

@@ -10,7 +10,6 @@ versions of both.
 """
 
 from .adaptive import (
-    AdaptiveDecision,
     Condition4Report,
     SparsityEstimate,
     adaptive_bayes_risk_mc,
@@ -63,14 +62,12 @@ from .risk import (
     null_rejection_rate,
     oracle_comparison_mc,
     oracle_risk,
-    separation_magnitude,
     separation_rate,
     two_group_risk_mc,
 )
 from .rng import map_replicates, substream, substreams
 from .shrinkage import AlwaysReject, NoCrossing, ShrinkageCurve
 from .testing import (
-    DecisionVector,
     TwoGroupModel,
     bayes_oracle_test,
     benjamini_hochberg,

@@ -22,13 +22,12 @@ from .priors import ScaleMixturePrior, horseshoe_prior
 from .rng import STREAM_ESTIMATOR, STREAM_TWO_GROUP, map_replicates, substream, substreams
 from .risk import RiskReport, _error_counts, null_rejection_rate, standard_error
 from .shrinkage import ShrinkageCurve
-from .testing import DecisionVector, TwoGroupModel
+from .testing import TwoGroupModel, _finite_data
 
 __all__ = [
     "SparsityEstimate",
     "simple_count_estimator",
     "horseshoe_family",
-    "AdaptiveDecision",
     "adaptive_threshold_test",
     "Condition4Report",
     "verify_condition4",
@@ -75,34 +74,20 @@ def horseshoe_family(n: int, p: float) -> ScaleMixturePrior:
     return horseshoe_prior(p / n, n, p)
 
 
-@dataclass(frozen=True)
-class AdaptiveDecision:
-    """Decisions from the plug-in curve plus the estimate that built it."""
-
-    decisions: DecisionVector
-    estimate: SparsityEstimate
-
-
 def _plug_in_threshold(n: int, p_hat: float, alpha: float) -> float:
     """x*(alpha) of the plug-in prior horseshoe_family(n, p_hat), p_hat capped at n - 1."""
     return ShrinkageCurve(horseshoe_family(n, min(p_hat, n - 1))).decision_threshold(alpha)
 
 
-def adaptive_threshold_test(data, alpha: float) -> AdaptiveDecision:
+def adaptive_threshold_test(data, alpha: float) -> np.ndarray:
     """Estimate p by simple_count_estimator, plug it into the horseshoe, and threshold.
 
     Rejects where |X_i| > x*(alpha) of horseshoe_family(n, p_hat); ties
-    keep the null, as in threshold_test.
+    keep the null, as in threshold_test.  p_hat is simple_count_estimator(data).
     """
-    data = np.asarray(data, dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("data must be finite")
-    estimate = simple_count_estimator(data)
-    x_star = _plug_in_threshold(len(data), estimate.p_hat, alpha)
-    return AdaptiveDecision(
-        decisions=DecisionVector(np.abs(data) > x_star, alpha, "adaptive_threshold"),
-        estimate=estimate,
-    )
+    data = _finite_data(data)
+    p_hat = simple_count_estimator(data).p_hat
+    return np.abs(data) > _plug_in_threshold(len(data), p_hat, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,9 @@ def _cmd_threshold(args) -> int:
 def _cmd_test(args) -> int:
     data = _read_observations(args.input)
     curve = ShrinkageCurve(parse_prior_spec(args.prior))
-    decisions = threshold_test(curve, np.array(data), args.alpha)
+    rejected = threshold_test(curve, data, args.alpha)
     table = ResultTable(["index", "x", "decision"])
-    table.extend(index=range(len(data)), x=data, decision=decisions.decisions.astype(int).tolist())
+    table.extend(index=range(len(data)), x=data, decision=rejected.astype(int).tolist())
     _emit(table.csv_text(), args.out)
     return EXIT_OK
 

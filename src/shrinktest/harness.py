@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .adaptive import adaptive_risk_replicates
+from .adaptive import adaptive_risk_replicates, horseshoe_family
 from .priors import ScaleMixturePrior, certified_constants, prior_from_config, prior_to_config
 from .risk import (
     RiskReport,
@@ -25,13 +25,14 @@ from .risk import (
     _two_group_counts,
     bayes_risk_analytic,
     bayes_risk_bound,
+    calibrate_signal_offset,
     fdp_fnp_replicates,
     flat_signal,
     minimax_risk_bound,
     miss_probability,
     null_rejection_rate,
     oracle_risk,
-    separation_magnitude,
+    separation_rate,
     standard_error,
 )
 from .shrinkage import ShrinkageCurve
@@ -231,8 +232,14 @@ class ExperimentConfig:
         if self.kind == "adaptive" and not self.model.n <= MAX_BATCH_DRAWS:
             raise ConfigError("model.n", f"must be at most {MAX_BATCH_DRAWS:g} for adaptive (one array "
                               f"of the n draws of a risk replicate), got {self.model.n!r}")
-        if self.kind == "adaptive" and self.prior.family != "horseshoe":
-            raise ConfigError("prior.family", "the adaptive pipeline plugs p_hat into the horseshoe family")
+        if self.kind == "adaptive":  # the bound is certified on the prior the pipeline plugs into
+            want = prior_to_config(horseshoe_family(self.model.n, self.model.p_n))
+            got = prior_to_config(self.prior)
+            key = next((k for k in {**want, **got} if want.get(k) != got.get(k)), None)
+            if key is not None:
+                must, given = (repr(d[key]) if key in d else "unset" for d in (want, got))
+                raise ConfigError(f"prior.{key}", f"must be {must} for adaptive, as in the plug-in "
+                                  f"prior horseshoe_family(model.n, model.p_n), got {given}")
 
     def meta(self) -> dict[str, str]:
         """The config echo: every field this kind reads, under the key it is read from."""
@@ -407,8 +414,10 @@ def _run_risk_minimax(config: ExperimentConfig, table: ResultTable) -> None:
     c, big_c = certified_constants(prior)
     bound = minimax_risk_bound(config.lam, config.alpha, big_c, c, config.v_n)
     n, p = prior.n, int(prior.p)
-    magnitudes = config.sweep_magnitudes or (
-        separation_magnitude(curve, config.alpha, config.c1, config.v_n),)
+    magnitudes = config.sweep_magnitudes
+    if not magnitudes:  # the one separation-rate magnitude, at the run's own x*
+        c1 = calibrate_signal_offset(curve, x_star) if config.c1 == "auto" else config.c1
+        magnitudes = (separation_rate(prior, c1=c1, v_n=config.v_n),)
     for magnitude in magnitudes:
         fdp, fnp = fdp_fnp_replicates(flat_signal(n, p, magnitude), x_star, config.replicates,
                                       config.seed)

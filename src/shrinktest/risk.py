@@ -20,7 +20,7 @@ from scipy.special import ndtr
 from .priors import ScaleMixturePrior
 from .quadrature import NumericError
 from .rng import STREAM_NOISE, STREAM_TWO_GROUP, map_replicates, split_draws, substreams
-from .shrinkage import AlwaysReject, NoCrossing, ShrinkageCurve
+from .shrinkage import ShrinkageCurve
 from .testing import TwoGroupModel
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "minimax_risk_bound",
     "separation_rate",
     "calibrate_signal_offset",
-    "separation_magnitude",
     "fdp_fnp_replicates",
     "standard_error",
     "fdr_fnr_mc",
@@ -235,35 +234,20 @@ def separation_rate(
     return c1 + math.sqrt(2.0 * k * (1.0 + u0) * math.log(prior.n / p)) + v_n
 
 
-def calibrate_signal_offset(curve: ShrinkageCurve, alpha: float) -> float:
-    """Empirical additive constant for the separation rate.
+def calibrate_signal_offset(curve: ShrinkageCurve, x_star: float) -> float:
+    """Empirical additive constant for the separation rate, from the cut x* of the curve.
 
-    Rounds the crossing x*(alpha) up to the 256-point grid on
-    [0, curve.search_cap()] and returns its exceedance over the declared
-    sqrt(2K(u0+1) log(n/p)) term, floored at zero; 0 when m_0 >= alpha.
-    Raises NumericError when m_x is still below alpha at the top of the
-    grid.
+    Rounds x* up to the 256-point grid on [0, curve.search_cap()] and
+    returns its exceedance over the declared sqrt(2K(u0+1) log(n/p))
+    term, floored at zero.  Raises NumericError when x* lies past the top
+    of the grid, where m_x is still below alpha.
     """
     cap = curve.search_cap()
-    try:
-        x_star = curve.decision_threshold(alpha)
-    except AlwaysReject:
-        return 0.0
-    except NoCrossing:
-        x_star = math.inf
     grid = np.linspace(0.0, cap, _CALIBRATION_GRID)
     top = int(np.searchsorted(grid, x_star))
     if top == _CALIBRATION_GRID:
         raise NumericError(f"m_x < alpha at the top of the grid (x={cap:g})")
     return max(0.0, float(grid[top]) - separation_rate(curve.prior))
-
-
-def separation_magnitude(
-    curve: ShrinkageCurve, alpha: float, c1: float | str = "auto", v_n: float = 0.0
-) -> float:
-    """The separation rate at the prior's p; c1 = "auto" is calibrated on the curve."""
-    c1 = calibrate_signal_offset(curve, alpha) if c1 == "auto" else float(c1)
-    return separation_rate(curve.prior, c1=c1, v_n=v_n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The main rule rejects coordinate i when m_{X_i} > alpha, which by the
 monotonicity of the shrinkage weight is a two-sided cut |X_i| > x*(alpha).
 Two references are included for comparison: the closed-form two-group
 posterior-odds rule and Benjamini-Hochberg step-up on two-sided normal
-p-values.
+p-values.  Each procedure takes a finite vector of observations and
+returns its rejections as a boolean vector of the same length (True
+rejects the null): both risks depend on the rejection set alone.
 """
 
 from __future__ import annotations
@@ -18,35 +20,11 @@ from scipy.special import ndtr
 from .shrinkage import ShrinkageCurve
 
 __all__ = [
-    "DecisionVector",
     "TwoGroupModel",
     "threshold_test",
     "bayes_oracle_test",
     "benjamini_hochberg",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class DecisionVector:
-    """Per-hypothesis binary outcomes: 1 rejects the null."""
-
-    decisions: np.ndarray
-    alpha: float
-    procedure_id: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "decisions", np.asarray(self.decisions, dtype=bool))
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-    @property
-    def n_rejections(self) -> int:
-        return int(self.decisions.sum())
-
-    def support(self) -> np.ndarray:
-        """Indices of rejected hypotheses."""
-        return np.flatnonzero(self.decisions)
 
 
 @dataclass(frozen=True)
@@ -118,30 +96,34 @@ class TwoGroupModel:
         return math.sqrt(max(c_sq, 0.0))
 
 
-def threshold_test(curve: ShrinkageCurve, data, alpha: float) -> DecisionVector:
+def _finite_data(data) -> np.ndarray:
+    """data as a float vector; any other shape and non-finite values are refused."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 1:
+        raise ValueError(f"data must be a vector, got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data must be finite")
+    return data
+
+
+def threshold_test(curve: ShrinkageCurve, data, alpha: float) -> np.ndarray:
     """Reject where m_{X_i} > alpha, i.e. |X_i| > x*(alpha).
 
     Ties at the crossing keep the null (the rule is a strict inequality).
     """
-    data = np.asarray(data, dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("data must be finite")
-    x_star = curve.decision_threshold(alpha)
-    return DecisionVector(np.abs(data) > x_star, alpha, "threshold")
+    return np.abs(_finite_data(data)) > curve.decision_threshold(alpha)
 
 
-def bayes_oracle_test(model: TwoGroupModel, data) -> DecisionVector:
+def bayes_oracle_test(model: TwoGroupModel, data) -> np.ndarray:
     """Reject where the two-group posterior probability of a signal exceeds 1/2."""
-    data = np.asarray(data, dtype=float)
-    cut = model.oracle_cutoff()
-    return DecisionVector(np.abs(data) >= cut, 0.5, "bayes_oracle")
+    return np.abs(_finite_data(data)) >= model.oracle_cutoff()
 
 
-def benjamini_hochberg(data, q: float) -> DecisionVector:
+def benjamini_hochberg(data, q: float) -> np.ndarray:
     """Step-up on two-sided p-values p_i = 2 Phi(-|X_i|); ties keep index order."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    data = np.asarray(data, dtype=float)
+    data = _finite_data(data)
     n = len(data)
     pvals = 2.0 * ndtr(-np.abs(data))
     order = np.argsort(pvals, kind="stable")
@@ -151,4 +133,4 @@ def benjamini_hochberg(data, q: float) -> DecisionVector:
     if passing.any():
         k = int(np.flatnonzero(passing).max()) + 1
         decisions[order[:k]] = True
-    return DecisionVector(decisions, q, "benjamini_hochberg")
+    return decisions

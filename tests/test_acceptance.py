@@ -108,7 +108,7 @@ def test_criterion_3_bayes_risk_bound(desk):
     prior, model, curve, c, big_c, x_star = desk
     # The additive offset of the guaranteed-detection threshold is
     # calibrated from x*, with the declared K = 1, u0 = 1.
-    c1 = calibrate_signal_offset(curve, 0.5)
+    c1 = calibrate_signal_offset(curve, x_star)
     threshold = separation_rate(prior, c1=c1)
     grid_ok = all(
         curve.weight(x) >= 0.5 - 1e-9 for x in np.linspace(threshold, threshold + 8.0, 33)
@@ -145,7 +145,7 @@ def test_criterion_4_mc_vs_analytic(desk):
 def test_criterion_5_minimax_bound(desk):
     start = time.monotonic()
     prior, model, curve, c, big_c, x_star = desk
-    c1 = calibrate_signal_offset(curve, 0.5)
+    c1 = calibrate_signal_offset(curve, x_star)
     rho = separation_rate(prior, c1=c1, v_n=3.0)
     bound = minimax_risk_bound(0.5, 0.5, big_c, c, 3.0)
     at_rho = fdr_fnr_mc(

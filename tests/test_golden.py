@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -34,7 +35,8 @@ import tempfile
 import pytest
 
 from shrinktest import (
-    ExperimentConfig, NumericError, ShrinkageCurve, calibrate_signal_offset, parse_prior_spec,
+    AlwaysReject, ExperimentConfig, NoCrossing, NumericError, ShrinkageCurve,
+    calibrate_signal_offset, parse_prior_spec,
 )
 from shrinktest.cli import EXIT_OK, EXIT_VALIDATION, main
 from shrinktest.rng import substream
@@ -234,9 +236,20 @@ def _thresholds() -> bytes:
     return _per_prior_and_alpha(ShrinkageCurve.decision_threshold)
 
 
+def _searched_x_star(curve: ShrinkageCurve, alpha: float) -> float:
+    """x*(alpha), with 0 for a curve that rejects everything and inf for one that never crosses."""
+    try:
+        return curve.decision_threshold(alpha)
+    except AlwaysReject:
+        return 0.0
+    except NoCrossing:
+        return math.inf
+
+
 def _calibrations() -> bytes:
     """The separation rate's calibrated offset c1 per prior and alpha."""
-    return _per_prior_and_alpha(calibrate_signal_offset)
+    return _per_prior_and_alpha(
+        lambda curve, alpha: calibrate_signal_offset(curve, _searched_x_star(curve, alpha)))
 
 
 def _simulate(workdir: pathlib.Path, kind: str, threads: int) -> bytes:

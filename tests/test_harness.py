@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from shrinktest import (
@@ -16,11 +16,12 @@ from shrinktest import (
     TwoGroupModel,
     emit_plot_script,
     exponential_prior,
+    horseshoe_family,
     horseshoe_prior,
     load_config,
     run_experiment,
 )
-from shrinktest.cli import EXIT_OK, main
+from shrinktest.cli import EXIT_OK, EXIT_VALIDATION, main
 from shrinktest.harness import MAX_ABS_X, MAX_BATCH_DRAWS, MAX_REPLICATES, ResultTable, _text
 from shrinktest.priors import parse_prior_spec
 from shrinktest import rng
@@ -157,9 +158,13 @@ def _configs(draw):
     p = draw(hst.floats(0.0, n, exclude_min=True, exclude_max=True))
     if kind == "risk_minimax":  # its signal has p coordinates
         p = float(draw(hst.integers(1, n - 1)))
-    prior = horseshoe_prior(draw(_unit()), n, p)
-    if kind != "adaptive" and draw(hst.booleans()):
-        prior = exponential_prior(draw(_finite(1e-3)), n, p)
+    if kind == "adaptive":  # the plug-in prior at the model's n and p, which tau = p/n = 0 is not
+        assume(p / n > 0.0)
+        prior = horseshoe_family(n, p)
+    else:
+        prior = horseshoe_prior(draw(_unit()), n, p)
+        if draw(hst.booleans()):
+            prior = exponential_prior(draw(_finite(1e-3)), n, p)
     values = _field_values(n, p, draw(hst.integers(1, MAX_REPLICATES)),
                            draw(hst.sampled_from([float, np.float64])))
     read = {name: draw(values[name]) for name in sorted(_READ_BY[kind])}
@@ -337,7 +342,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("kind, name, config", [
         ("risk_minimax", "prior.p", lambda size: dict(prior=horseshoe_prior(0.01, 10 * size, size))),
-        ("adaptive", "model.n", lambda size: dict(prior=horseshoe_prior(0.01, size, 100),
+        ("adaptive", "model.n", lambda size: dict(prior=horseshoe_family(size, 100),
                                                    model=TwoGroupModel.from_c_psi(size, 100, 1.0))),
     ], ids=["risk_minimax", "adaptive"])
     def test_array_size_past_its_bound_is_field_error(self, kind, name, config):
@@ -346,6 +351,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(kind=kind, seed=1, **config(MAX_BATCH_DRAWS + 1))
         assert err.value.field_name == name
+
+    @pytest.mark.parametrize("prior, name", [
+        (horseshoe_prior(0.5, 1000, 10), "prior.n"),
+        (horseshoe_prior(0.01, 10**4, 50), "prior.p"),
+        (horseshoe_prior(0.5, 10**4, 100), "prior.tau"),
+        (exponential_prior(1.0, 10**4, 100), "prior.family"),
+        (parse_prior_spec("horseshoe:tau=0.01,n=10000,p=100,k=2"), "prior.k"),
+        (parse_prior_spec("horseshoe:tau=0.01,n=10000,p=100,c_prime=0.5"), "prior.c_prime"),
+    ], ids=["n", "p", "tau", "family", "k", "c_prime"])
+    def test_adaptive_prior_other_than_the_plug_in_one_is_field_error(self, prior, name):
+        # Was accepted: the bound was certified on this prior, which the pipeline never uses.
+        model = TwoGroupModel.from_c_psi(10**4, 100, 1.0)
+        ExperimentConfig(kind="adaptive", model=model, prior=horseshoe_family(10**4, 100), seed=1)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="adaptive", model=model, prior=prior, replicates=3, seed=1)
+        assert err.value.field_name == name
+
+    def test_adaptive_config_file_with_another_prior_exits_2(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("kind = risk_bayes", "kind = adaptive").replace("draws = 500\n", "")
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == EXIT_OK
+        path = write_config(tmp_path, text.replace("tau = 0.02", "tau = 0.5"))
+        assert main(["simulate", "--config", path]) == EXIT_VALIDATION
+        assert "validation error: prior.tau: must be 0.02 for adaptive" in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -467,7 +495,7 @@ class TestRunExperiment:
         def calibrated(*args):
             raise AssertionError("separation rate calibrated under a sweep")
 
-        monkeypatch.setattr(harness, "separation_magnitude", calibrated)
+        monkeypatch.setattr(harness, "calibrate_signal_offset", calibrated)
         config = ExperimentConfig(kind="risk_minimax", prior=horseshoe_prior(0.02, 2000, 40),
                                   replicates=4, seed=3, sweep_magnitudes=(2.0, 6.0))
         assert run_experiment(config).column("magnitude", row_type="aggregate") == [2.0, 6.0]

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from shrinktest import (
+    ExperimentConfig,
     NumericError,
     RiskReport,
     ScaleMixturePrior,
@@ -27,7 +28,7 @@ from shrinktest import (
     miss_probability,
     oracle_comparison_mc,
     oracle_risk,
-    separation_magnitude,
+    run_experiment,
     separation_rate,
     two_group_risk_mc,
 )
@@ -36,6 +37,7 @@ from shrinktest.risk import standard_error
 from shrinktest.rng import substream
 
 import oracles
+from test_golden import _searched_x_star
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +212,8 @@ class TestSeparationRate:
     def test_empirical_companion(self):
         # Weights stay above 1/2 beyond the calibrated rate.
         curve = ShrinkageCurve(_DESK_PRIOR)
-        threshold = separation_rate(_DESK_PRIOR, c1=calibrate_signal_offset(curve, 0.5))
+        c1 = calibrate_signal_offset(curve, curve.decision_threshold(0.5))
+        threshold = separation_rate(_DESK_PRIOR, c1=c1)
         for x in np.linspace(threshold, threshold + 10.0, 41):
             assert curve.weight(x) >= 0.5 - 1e-9
 
@@ -252,12 +255,13 @@ class TestCalibrateSignalOffset:
             except NumericError:
                 expected = "NumericError"
             try:
-                got = repr(calibrate_signal_offset(curve, alpha))
+                got = repr(calibrate_signal_offset(curve, _searched_x_star(curve, alpha)))
             except NumericError:
                 got = "NumericError"
             assert got == expected, alpha
 
-    def test_reads_the_decision_threshold(self, monkeypatch):
+    def test_a_c1_auto_run_searches_once(self, monkeypatch):
+        # Searched x* twice: once for the cut, once more for the calibration.
         alphas = []
         search = ShrinkageCurve.decision_threshold
 
@@ -266,7 +270,8 @@ class TestCalibrateSignalOffset:
             return search(curve, alpha)
 
         monkeypatch.setattr(ShrinkageCurve, "decision_threshold", spy)
-        calibrate_signal_offset(ShrinkageCurve(_DESK_PRIOR), 0.5)
+        run_experiment(ExperimentConfig(kind="risk_minimax", prior=_DESK_PRIOR, replicates=5,
+                                        seed=1))
         assert alphas == [0.5]
 
 
@@ -354,10 +359,12 @@ class TestRatesInN:
         reports = []
         for n in (10**4, 10**6, 10**8):
             p = math.isqrt(n)
-            curve = ShrinkageCurve(horseshoe_prior(p / n, n, p))
-            rho = separation_magnitude(curve, 0.5, v_n=3.0)
+            prior = horseshoe_prior(p / n, n, p)
+            curve = ShrinkageCurve(prior)
+            x_star = curve.decision_threshold(0.5)
+            rho = separation_rate(prior, c1=calibrate_signal_offset(curve, x_star), v_n=3.0)
             report = fdr_fnr_mc(curve, flat_signal(n, p, rho), 0.5, replicates=200, seed=19)
-            q = miss_probability(curve.decision_threshold(0.5), rho)
+            q = miss_probability(x_star, rho)
             assert abs(report.fnr - q) <= 3.0 * math.sqrt(q * (1.0 - q) / (p * 200)), n
             reports.append(report)
         for a, b in zip(reports, reports[1:]):
